@@ -7,6 +7,7 @@ coefficients, so the decoded bits survive arbitrary rotations of the
 stego image.
 """
 
+import functools
 import json
 import math
 import struct
@@ -152,13 +153,9 @@ def _conj_symmetric_row(rng, l):
     dof = rng.standard_normal(2 * l + 1)
     bv = np.zeros(2 * l + 1, complex)
     bv[l] = dof[l]
-    for m in range(1, l + 1):
-        bv[l + m] = (dof[l + m] + 1j * dof[l - m]) / math.sqrt(2.0)
-        bv[l - m] = ((-1.0) ** m) * np.conj(bv[l + m])
+    bv[l + 1:] = (dof[l + 1:] + 1j * dof[:l][::-1]) / math.sqrt(2.0)
+    bv[:l] = harmonics.conj_flip(bv)[:l]
     return bv
-
-
-_PATTERNS = {}
 
 
 def generate_patterns(key, cfg=None):
@@ -172,37 +169,39 @@ def generate_patterns(key, cfg=None):
     """
     cfg = cfg or CodecConfig()
     key = check_key(key)
-    ck = (key, cfg.L_embed, cfg.l_max, cfg.k, cfg.n_groups, cfg.channels)
-    if ck in _PATTERNS:
-        return _PATTERNS[ck]
     if cfg.k > cfg.capacity:
         raise ValueError(
             "k=%d payload bits cannot be kept orthogonal on degrees %r with "
             "%d channel(s); at most %d are achievable"
             % (cfg.k, cfg.L_embed, cfg.channels, cfg.capacity))
-    sw = _slice_profiles(cfg)
+    return _patterns(key, cfg.L_embed, cfg.l_max, cfg.k, cfg.n_groups,
+                     cfg.channels)
+
+
+# keyed by the secret key, so bounded: ~0.44 MB per key at the defaults
+@functools.lru_cache(maxsize=16)
+def _patterns(key, L_embed, l_max, k, n_groups, channels):
+    sw = _slice_profiles(n_groups, len(L_embed), channels)
     rng = np.random.default_rng(np.random.SeedSequence([key, 0xA11CE]))
-    nlm = harmonics.n_coeffs(cfg.l_max)
-    P = np.zeros((cfg.k, cfg.channels, nlm), complex)
-    nL = len(cfg.L_embed)
-    for li, l in enumerate(cfg.L_embed):
-        V = np.zeros((cfg.k, cfg.channels, 2 * l + 1), complex)
-        for kk in range(cfg.k):
+    P = np.zeros((k, channels, harmonics.n_coeffs(l_max)), complex)
+    nL = len(L_embed)
+    for li, l in enumerate(L_embed):
+        V = np.zeros((k, channels, 2 * l + 1), complex)
+        for kk in range(k):
             bv = _conj_symmetric_row(rng, l)
-            prof = sw[kk % cfg.n_groups, li, :]
+            prof = sw[kk % n_groups, li, :]
             V[kk] = prof[:, None] * bv[None, :]
-        Vf = V.reshape(cfg.k, -1)
-        for i in range(cfg.k):
+        Vf = V.reshape(k, -1)
+        for i in range(k):
             for j in range(i):
                 Vf[i] -= np.vdot(Vf[j], Vf[i]) * Vf[j]
             nrm = np.linalg.norm(Vf[i])
             if nrm < 1e-12:
                 raise ValueError("pattern construction degenerated; reduce k")
             Vf[i] /= nrm
-        blk = Vf.reshape(cfg.k, cfg.channels, 2 * l + 1) / math.sqrt(nL)
+        blk = Vf.reshape(k, channels, 2 * l + 1) / math.sqrt(nL)
         P[:, :, l * l:(l + 1) * (l + 1)] = blk
     P.setflags(write=False)
-    _PATTERNS[ck] = P
     return P
 
 
@@ -219,24 +218,24 @@ class _FeatureBank:
                  "trips", "tensors", "sw", "ctx_pairs", "ctx_weights",
                  "roster", "n_features")
 
-    def __init__(self, cfg):
-        self.L_embed = cfg.L_embed
-        self.l_max = cfg.l_max
-        self.channels = cfg.channels
-        self.G = cfg.n_groups
-        self.n_ctx = cfg.n_contexts
-        self.n_pairs = cfg.context_pairs
-        self.trips = coupling.admissible_triplets(cfg.L_embed, cfg.l_max)
+    def __init__(self, L_embed, l_max, channels, G, n_ctx, n_pairs):
+        self.L_embed = L_embed
+        self.l_max = l_max
+        self.channels = channels
+        self.G = G
+        self.n_ctx = n_ctx
+        self.n_pairs = n_pairs
+        self.trips = coupling.admissible_triplets(L_embed, l_max)
         if not self.trips:
             raise ValueError("embed degrees admit no invariant couplings")
         self.tensors = {t: _dense_tensor(t) for t in self.trips}
-        self.sw = _slice_profiles(cfg)
-        self._build_contexts_plan(cfg)
+        self.sw = _slice_profiles(G, len(L_embed), channels)
+        self._build_contexts_plan()
         self._build_roster()
         self.n_features = len(self.trips) * self.G * (1 + self.n_pairs)
 
-    def _build_contexts_plan(self, cfg):
-        non_embed = [l for l in range(1, cfg.l_max + 1) if l not in cfg.L_embed]
+    def _build_contexts_plan(self):
+        non_embed = [l for l in range(1, self.l_max + 1) if l not in self.L_embed]
         rng = np.random.default_rng(
             np.random.SeedSequence([0xC0DE, self.n_ctx, self.channels]))
         self.ctx_pairs = {}
@@ -250,6 +249,7 @@ class _FeatureBank:
             sel = rng.integers(0, len(ps), self.n_ctx)
             wch = rng.standard_normal((self.n_ctx, 2, self.channels))
             wch /= np.linalg.norm(wch, axis=2, keepdims=True)
+            wch.setflags(write=False)
             self.ctx_pairs[l] = [ps[s] for s in sel]
             self.ctx_weights[l] = wch
 
@@ -260,62 +260,52 @@ class _FeatureBank:
         for ti, t in enumerate(self.trips):
             slots = (np.arange(self.G) + ti) % 3
             pairs = rng.integers(0, self.n_ctx, size=(self.G, self.n_pairs, 2))
+            for arr in (slots, pairs):
+                arr.setflags(write=False)
             self.roster[t] = (slots, pairs)
 
 
-_SLICES = {}
-
-
-def _slice_profiles(cfg):
+@functools.lru_cache(maxsize=None)
+def _slice_profiles(n_groups, n_degrees, channels):
     """Per-(group, embed degree) unit channel-mix rows, key independent."""
-    ck = (cfg.n_groups, len(cfg.L_embed), cfg.channels)
-    if ck not in _SLICES:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([0x51ABE, cfg.n_groups, cfg.channels]))
-        S = rng.standard_normal((cfg.n_groups, len(cfg.L_embed), cfg.channels))
-        S /= np.linalg.norm(S, axis=2, keepdims=True)
-        S.setflags(write=False)
-        _SLICES[ck] = S
-    return _SLICES[ck]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([0x51ABE, n_groups, channels]))
+    S = rng.standard_normal((n_groups, n_degrees, channels))
+    S /= np.linalg.norm(S, axis=2, keepdims=True)
+    S.setflags(write=False)
+    return S
+
+
+def _scatter(vals, idx, n):
+    """Read-only (*vals.shape, n) tensor holding vals[i, j] at [i, j, idx[i, j]];
+    out-of-range idx only meets zero vals and is clipped."""
+    out = np.zeros(vals.shape + (n,))
+    np.put_along_axis(out, np.clip(idx, 0, n - 1)[..., None], vals[..., None],
+                      axis=2)
+    out.setflags(write=False)
+    return out
 
 
 def _dense_tensor(t):
-    l1, l2, l3 = t
-    C, g, valid = coupling._projection_table(t)
-    B = np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1))
-    ii, jj = np.nonzero(valid)
-    B[ii, jj, g[ii, jj]] = C[ii, jj]
-    return B
+    C, g = coupling._projection_table(t)
+    return _scatter(C, g, 2 * t[2] + 1)
 
 
-_CG = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _cg_tensor(la, lb, l):
-    # Clebsch-Gordan coupling (la x lb -> l), dense over (m1, m2, m)
-    ck = (la, lb, l)
-    if ck not in _CG:
-        T = np.zeros((2 * la + 1, 2 * lb + 1, 2 * l + 1))
-        for i, m1 in enumerate(range(-la, la + 1)):
-            for j, m2 in enumerate(range(-lb, lb + 1)):
-                m = m1 + m2
-                if abs(m) <= l:
-                    T[i, j, m + l] = (((-1.0) ** (la - lb + m))
-                                      * math.sqrt(2 * l + 1)
-                                      * coupling.wigner_3j(la, lb, l, m1, m2, -m))
-        _CG[ck] = T
-    return _CG[ck]
+    # Clebsch-Gordan coupling (la x lb -> l), dense over (m1, m2, m = m1+m2)
+    m = np.add.outer(np.arange(-la, la + 1), np.arange(-lb, lb + 1))
+    T = (((-1.0) ** (la - lb + m) * math.sqrt(2 * l + 1))
+         * coupling.threej_table(la, lb, l))
+    return _scatter(T, m + l, 2 * l + 1)
 
 
-_BANKS = {}
+_feature_bank = functools.lru_cache(maxsize=None)(_FeatureBank)
 
 
 def _bank(cfg):
-    ck = (cfg.L_embed, cfg.l_max, cfg.channels, cfg.n_groups,
-          cfg.n_contexts, cfg.context_pairs)
-    if ck not in _BANKS:
-        _BANKS[ck] = _FeatureBank(cfg)
-    return _BANKS[ck]
+    return _feature_bank(cfg.L_embed, cfg.l_max, cfg.channels, cfg.n_groups,
+                         cfg.n_contexts, cfg.context_pairs)
 
 
 def feature_length(cfg=None):

@@ -8,19 +8,23 @@ Wigner-D conjugations cancel, so every component is exactly SO(3)
 invariant; for real signals every component is real.
 """
 
+import functools
 import math
 
 import numpy as np
 
 __all__ = [
-    "log_factorial", "wigner_3j", "trivial_projection_coeff",
+    "log_factorial", "wigner_3j", "threej_table", "trivial_projection_coeff",
     "admissible_triplets", "BispectrumVector",
     "bispectrum_component", "bispectrum_vector",
     "perturbation_sensitivity", "power_spectrum_features",
     "bispectrum_to_csv",
 ]
 
-_LOGFACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 301)))])
+# ln(n!) for n = 0..300, then +inf: a negative index wraps into the tail,
+# so 1/n! = 0 for n < 0 and Racah terms outside their t range vanish
+_LOGFACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 301))),
+                           np.full(300, np.inf)])
 
 
 def log_factorial(n):
@@ -30,27 +34,44 @@ def log_factorial(n):
     return float(_LOGFACT[n])
 
 
-def wigner_3j(l1, l2, l3, m1, m2, m3):
-    """3j symbol by the Racah sum; selection-rule failures return exact 0."""
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
+def _racah(l1, l2, l3, m1, m2):
+    """3j(l1 l2 l3; m1 m2 -m1-m2) by the Racah sum, elementwise over integer
+    m1, m2 (scalars or arrays); selection-rule failures are exact zeros."""
+    if l1 + l2 + l3 >= 300:
+        raise ValueError("3j degrees exceed the log-factorial table")
+    m3 = -m1 - m2
+    if not abs(l1 - l2) <= l3 <= l1 + l2:
+        return np.zeros(np.shape(m3))
+    ok = (abs(m1) <= l1) & (abs(m2) <= l2) & (abs(m3) <= l3)
+    m1, m2, m3 = m1 * ok, m2 * ok, m3 * ok  # park failures at m = 0
     F = _LOGFACT
     pref = 0.5 * (F[l1 + l2 - l3] + F[l1 - l2 + l3] + F[-l1 + l2 + l3]
                   - F[l1 + l2 + l3 + 1]
                   + F[l1 + m1] + F[l1 - m1] + F[l2 + m2] + F[l2 - m2]
                   + F[l3 + m3] + F[l3 - m3])
-    tmin = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    tmax = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    s = 0.0
-    for t in range(tmin, tmax + 1):
-        den = (F[t] + F[l3 - l2 + t + m1] + F[l3 - l1 + t - m2]
-               + F[l1 + l2 - l3 - t] + F[l1 - t - m1] + F[l2 - t + m2])
-        s += ((-1.0) ** t) * math.exp(pref - den)
-    return ((-1.0) ** (l1 - l2 - m3)) * s
+    # the summation index t runs along a new leading axis
+    t = np.arange(l1 + l2 - l3 + 1).reshape((-1,) + (1,) * np.ndim(m3))
+    den = (F[t] + F[t + (l3 - l2 + m1)] + F[t + (l3 - l1 - m2)]
+           + F[(l1 + l2 - l3) - t] + F[(l1 - m1) - t] + F[(l2 + m2) - t])
+    terms = np.exp(pref - den)
+    terms[1::2] *= -1.0
+    return np.where(ok, (-1.0) ** (l1 - l2 - m3) * terms.sum(axis=0), 0.0)
+
+
+def wigner_3j(l1, l2, l3, m1, m2, m3):
+    """3j symbol by the Racah sum; selection-rule failures return exact 0."""
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    return float(_racah(l1, l2, l3, m1, m2))
+
+
+@functools.lru_cache(maxsize=None)
+def threej_table(l1, l2, l3):
+    """Read-only 3j(l1 l2 l3; m1 m2 -m1-m2) over the grid [m1+l1, m2+l2]."""
+    T = _racah(l1, l2, l3, np.arange(-l1, l1 + 1)[:, None],
+               np.arange(-l2, l2 + 1))
+    T.setflags(write=False)
+    return T
 
 
 def trivial_projection_coeff(t, m1, m2, m3):
@@ -76,33 +97,19 @@ def admissible_triplets(L, l_max):
     return out
 
 
-# per-triplet dense tables, built once and reused (construction is
-# idempotent, so a benign race just rebuilds identical values)
-_TABLES = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _projection_table(t):
-    """(C, gather, valid): C[m1+l1, m2+l2] dense, m3 = -m1-m2 gathered from block l3."""
-    if t in _TABLES:
-        return _TABLES[t]
+    """Read-only (C, g): C[m1+l1, m2+l2] = C^{0,0}, m3 = -m1-m2 gathered from
+    block l3 at index g; where |m3| > l3, C is 0 and g clipped into range."""
     l1, l2, l3 = t
-    M1, M2 = np.meshgrid(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1),
-                         indexing="ij")
-    M3 = -M1 - M2
-    valid = np.abs(M3) <= l3
-    pref = (math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
-            * wigner_3j(l1, l2, l3, 0, 0, 0))
-    C = np.zeros(M1.shape)
-    for i in range(M1.shape[0]):
-        for j in range(M1.shape[1]):
-            if valid[i, j]:
-                C[i, j] = pref * wigner_3j(l1, l2, l3,
-                                           int(M1[i, j]), int(M2[i, j]), int(M3[i, j]))
-    g = np.where(valid, M3 + l3, 0)
-    for arr in (C, g, valid):
+    T = threej_table(l1, l2, l3)
+    C = (math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
+         * T[l1, l2]) * T
+    g = np.clip(l3 - np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1)),
+                0, 2 * l3)
+    for arr in (C, g):
         arr.setflags(write=False)
-    _TABLES[t] = (C, g, valid)
-    return _TABLES[t]
+    return C, g
 
 
 class BispectrumVector:
@@ -122,8 +129,8 @@ class BispectrumVector:
 
 
 def _contract(t, b1, b2, b3):
-    C, g, valid = _projection_table(t)
-    return np.einsum("ij,i,j,ij->", C, b1, b2, b3[g] * valid)
+    C, g = _projection_table(t)
+    return np.einsum("ij,i,j,ij->", C, b1, b2, b3[g])
 
 
 def bispectrum_component(c, t):

@@ -165,24 +165,34 @@ def read_ppm(path):
     if not data.startswith(b"P6"):
         raise ValueError("%s: not a binary PPM (P6)" % path)
     # header: magic, width, height, maxval, single whitespace, then raster
+    names = ("width", "height", "maxval")
     pos, fields = 2, []
     while len(fields) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
         if data[pos:pos + 1] == b"#":           # comment line
-            pos = data.index(b"\n", pos) + 1
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise ValueError("%s: unterminated header comment" % path)
+            pos = end + 1
             continue
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        tok = data[start:pos]
+        if not tok.isdigit() or int(tok) == 0:
+            raise ValueError("%s: header %s must be a positive integer, got %r"
+                             % (path, names[len(fields)], tok))
+        fields.append(int(tok))
     pos += 1
     W, H, maxval = fields
     if maxval != 255:
         raise ValueError("%s: only maxval 255 supported" % path)
+    if W != 2 * H:
+        raise ValueError("%s: ERP width must be 2*height, got %dx%d"
+                         % (path, H, W))
+    if len(data) - pos < H * W * 3:
+        raise ValueError("%s: truncated raster, %d of %d bytes"
+                         % (path, max(0, len(data) - pos), H * W * 3))
     raster = np.frombuffer(data, np.uint8, count=H * W * 3, offset=pos)
-    if raster.size != H * W * 3:
-        raise ValueError("%s: truncated raster" % path)
-    img = raster.reshape(H, W, 3).astype(float) / 255.0
-    check_image(img)
-    return img
+    return raster.reshape(H, W, 3).astype(float) / 255.0

@@ -11,6 +11,7 @@ longitude/latitude), exact to machine precision for band-limited signals
 when H >= 4*l_max.
 """
 
+import functools
 import json
 import struct
 
@@ -39,6 +40,15 @@ def n_coeffs(l_max):
 def coeff_index(l, m):
     # flat banded index: block l occupies [l^2, (l+1)^2), m counted from -l
     return l * l + l + m
+
+
+def conj_flip(blk):
+    """(-1)^m conj(c^{-m}) for every m, along the last axis of degree blocks.
+
+    A block is conjugate symmetric (its synthesis real) iff it equals its
+    flip; copying the flip's m < 0 half completes a block from m >= 0."""
+    l = blk.shape[-1] // 2
+    return (-1.0) ** np.arange(-l, l + 1) * np.conj(blk[..., ::-1])
 
 
 def _legendre_table(l_max, x):
@@ -132,13 +142,8 @@ class ShCoefficients:
 
     def symmetry_deviation(self):
         """max |c_l^{-m} - (-1)^m conj(c_l^m)| over all blocks."""
-        worst = 0.0
-        for l in range(self.l_max + 1):
-            b = self.block(l)
-            m = np.arange(-l, l + 1)
-            flipped = ((-1.0) ** m) * np.conj(b[:, ::-1])
-            worst = max(worst, float(np.abs(b - flipped).max()))
-        return worst
+        blocks = (self.block(l) for l in range(self.l_max + 1))
+        return max(float(np.abs(b - conj_flip(b)).max()) for b in blocks)
 
     def assert_symmetry(self, tol=1e-9):
         dev = self.symmetry_deviation()
@@ -156,19 +161,15 @@ class _Plan:
         self.wrow = grid.quadrature_weights(H)
         tab = _legendre_table(l_max, np.cos(theta))
         # per |m|: matrix (l_max+1-m, H) of Pbar_l^m over rows
-        self.P = [np.array([tab[(l, m)] for l in range(m, l_max + 1)])
-                  for m in range(l_max + 1)]
+        self.P = tuple(np.array([tab[(l, m)] for l in range(m, l_max + 1)])
+                       for m in range(l_max + 1))
         self.E = np.exp(1j * np.outer(phi, np.arange(-l_max, l_max + 1)))  # (W, 2l+1)
+        for arr in (self.wrow, self.E) + self.P:
+            arr.setflags(write=False)
 
 
-_PLANS = {}
-
-
-def _plan(H, l_max):
-    key = (H, l_max)
-    if key not in _PLANS:
-        _PLANS[key] = _Plan(H, l_max)
-    return _PLANS[key]
+# keyed by the image height, so bounded
+_plan = functools.lru_cache(maxsize=8)(_Plan)
 
 
 def forward_sht(x, l_max):
@@ -270,13 +271,13 @@ def _random_symmetric(rng, l_max, decay):
     c = np.zeros(n_coeffs(l_max), complex)
     for l in range(l_max + 1):
         s = (1.0 + l) ** (-decay)
-        blk = np.zeros(2 * l + 1, complex)
-        blk[l] = rng.standard_normal() * s
-        for m in range(1, l + 1):
-            zre, zim = rng.standard_normal(2) * (s / np.sqrt(2.0))
-            blk[l + m] = zre + 1j * zim
-            blk[l - m] = ((-1) ** m) * np.conj(blk[l + m])
-        c[l * l:(l + 1) * (l + 1)] = blk
+        # one draw per block: m = 0, then (re, im) pairs for m = 1..l
+        z = rng.standard_normal(2 * l + 1)
+        blk = c[l * l:(l + 1) * (l + 1)]
+        blk[l] = z[0] * s
+        blk.real[l + 1:] = z[1::2] * (s / np.sqrt(2.0))
+        blk.imag[l + 1:] = z[2::2] * (s / np.sqrt(2.0))
+        blk[:l] = conj_flip(blk)[:l]
     return c
 
 

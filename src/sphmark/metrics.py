@@ -85,17 +85,8 @@ def retained_energy_ratio(vec, l_c):
 
 def _flat_symmetric_noise(rng, l_max, channels):
     """Unit-variance conjugate-symmetric coefficient noise, all degrees."""
-    out = np.zeros((channels, harmonics.n_coeffs(l_max)), complex)
-    for ch in range(channels):
-        for l in range(l_max + 1):
-            blk = np.zeros(2 * l + 1, complex)
-            blk[l] = rng.standard_normal()
-            for m in range(1, l + 1):
-                zre, zim = rng.standard_normal(2) / np.sqrt(2.0)
-                blk[l + m] = zre + 1j * zim
-                blk[l - m] = ((-1) ** m) * np.conj(blk[l + m])
-            out[ch, l * l:(l + 1) * (l + 1)] = blk
-    return out
+    return np.stack([harmonics._random_symmetric(rng, l_max, 0.0)
+                     for _ in range(channels)])
 
 
 def noise_bias_fit(cover, sigmas, trials=200, triplets=None, seed=0):

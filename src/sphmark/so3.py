@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import grid
+from .coupling import _LOGFACT
 from .harmonics import ShCoefficients, SymmetryError
 
 __all__ = [
@@ -19,9 +20,6 @@ __all__ = [
 ]
 
 _L_CAP = 32  # factorial-sum little-d is double-precision safe up to here
-
-# ln(n!) for n = 0..300
-_LOGFACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 301)))])
 
 
 class Rotation:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from sphmark import attacks, codec, harmonics, so3
+from sphmark import attacks, codec, coupling, harmonics, so3
 from sphmark.codec import (
     CodecConfig, EmbeddingStrengthWarning, SignatureSet, check_key,
     coefficient_rms, compute_features, config_from_dict, config_to_dict,
@@ -125,6 +127,80 @@ def test_patterns_determinism_and_cache():
     assert np.abs(a - b).max() > 1e-3
     with pytest.raises(ValueError):
         a[0, 0, 0] = 0.0                       # cached bank is frozen
+    # the cache is keyed by the secret key, so it must stay bounded
+    small = CodecConfig(L_embed=(2,), l_max=4, k=4, groups=2, channels=1)
+    maxsize = codec._patterns.cache_info().maxsize
+    for key in range(1000, 1000 + maxsize + 1):
+        generate_patterns(key, small)
+    assert codec._patterns.cache_info().currsize == maxsize
+    assert generate_patterns(5, cfg) is generate_patterns(5, cfg)
+
+
+def _conj_symmetric_row_loop(rng, l):
+    # the per-m mirror loop the vectorized row replaced; reference only
+    dof = rng.standard_normal(2 * l + 1)
+    bv = np.zeros(2 * l + 1, complex)
+    bv[l] = dof[l]
+    for m in range(1, l + 1):
+        bv[l + m] = (dof[l + m] + 1j * dof[l - m]) / math.sqrt(2.0)
+        bv[l - m] = ((-1.0) ** m) * np.conj(bv[l + m])
+    return bv
+
+
+def test_conj_symmetric_row_matches_per_m_loop():
+    for l in range(17):
+        got = codec._conj_symmetric_row(np.random.default_rng(l), l)
+        want = _conj_symmetric_row_loop(np.random.default_rng(l), l)
+        assert np.array_equal(got, want)
+
+
+def _cg_tensor_loop(la, lb, l):
+    # the per-entry Clebsch-Gordan builder the scatter replaced
+    T = np.zeros((2 * la + 1, 2 * lb + 1, 2 * l + 1))
+    for i, m1 in enumerate(range(-la, la + 1)):
+        for j, m2 in enumerate(range(-lb, lb + 1)):
+            m = m1 + m2
+            if abs(m) <= l:
+                T[i, j, m + l] = (((-1.0) ** (la - lb + m))
+                                  * math.sqrt(2 * l + 1)
+                                  * coupling.wigner_3j(la, lb, l, m1, m2, -m))
+    return T
+
+
+def _dense_tensor_loop(t):
+    # the per-entry dense codec tensor, C^{0,0} placed at m3 = -m1-m2
+    l1, l2, l3 = t
+    pref = (math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
+            * coupling.wigner_3j(l1, l2, l3, 0, 0, 0))
+    B = np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1))
+    for i, m1 in enumerate(range(-l1, l1 + 1)):
+        for j, m2 in enumerate(range(-l2, l2 + 1)):
+            if abs(m1 + m2) <= l3:
+                B[i, j, l3 - m1 - m2] = pref * coupling.wigner_3j(
+                    l1, l2, l3, m1, m2, -m1 - m2)
+    return B
+
+
+def test_coupling_tensors_match_per_entry_loops():
+    bank = codec._bank(CodecConfig())
+    for t in bank.trips:
+        B = bank.tensors[t]
+        assert np.abs(B - _dense_tensor_loop(t)).max() <= 1e-14
+        slots, pairs = bank.roster[t]
+        for arr in (B, slots, pairs, bank.ctx_weights[t[0]]):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    cg = {(la, lb, l) for l in bank.L_embed for la, lb in bank.ctx_pairs[l]}
+    for la, lb, l in sorted(cg):
+        T = codec._cg_tensor(la, lb, l)
+        assert np.abs(T - _cg_tensor_loop(la, lb, l)).max() <= 1e-14
+        assert codec._cg_tensor(la, lb, l) is T
+        with pytest.raises(ValueError):
+            T[0, 0, 0] = 1.0
+    S = codec._slice_profiles(4, 3, 3)
+    assert codec._slice_profiles(4, 3, 3) is S
+    with pytest.raises(ValueError):
+        S[0, 0, 0] = 1.0
 
 
 def test_patterns_capacity_limit():

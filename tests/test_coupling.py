@@ -258,10 +258,58 @@ def test_bispectrum_to_csv(tmp_path):
 
 
 def test_projection_tables_are_immutable():
-    C, g, valid = coupling._projection_table((2, 2, 2))
-    for arr in (C, g, valid):
+    C, g = coupling._projection_table((2, 2, 2))
+    for arr in (C, g, coupling.threej_table(2, 3, 4)):
         with pytest.raises(ValueError):
             arr[0] = 0
     # repeated calls hand back the same cached objects
     again = coupling._projection_table((2, 2, 2))
     assert again[0] is C
+    assert coupling.threej_table(2, 3, 4) is coupling.threej_table(2, 3, 4)
+
+
+def test_threej_table_matches_scalar_and_oracle():
+    # every triplet with degrees 0..16 against the scalar symbol; the
+    # exact-rational oracle up to degree 8
+    worst_scalar = worst_oracle = 0.0
+    for l1 in range(17):
+        for l2 in range(17):
+            for l3 in range(abs(l1 - l2), min(16, l1 + l2) + 1):
+                T = coupling.threej_table(l1, l2, l3)
+                assert T.shape == (2 * l1 + 1, 2 * l2 + 1)
+                m3 = -np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1))
+                assert np.all(T[np.abs(m3) > l3] == 0.0)
+                for i, j in zip(*np.nonzero(np.abs(m3) <= l3)):
+                    m1, m2 = int(i) - l1, int(j) - l2
+                    v = wigner_3j(l1, l2, l3, m1, m2, -m1 - m2)
+                    worst_scalar = max(worst_scalar, abs(T[i, j] - v))
+                    if max(l1, l2, l3) <= 8:
+                        ref = wigner3j_exact(l1, l2, l3, m1, m2, -m1 - m2)
+                        worst_oracle = max(worst_oracle, abs(T[i, j] - ref))
+    assert worst_scalar <= 1e-14
+    assert worst_oracle <= 1e-12
+
+
+def _projection_table_loop(t):
+    # the per-entry builder the vectorized table replaced; reference only
+    l1, l2, l3 = t
+    pref = (math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
+            * wigner_3j(l1, l2, l3, 0, 0, 0))
+    C = np.zeros((2 * l1 + 1, 2 * l2 + 1))
+    for i, m1 in enumerate(range(-l1, l1 + 1)):
+        for j, m2 in enumerate(range(-l2, l2 + 1)):
+            if abs(m1 + m2) <= l3:
+                C[i, j] = pref * wigner_3j(l1, l2, l3, m1, m2, -m1 - m2)
+    return C
+
+
+def test_projection_table_matches_per_entry_loop():
+    for t in admissible_triplets((1, 2, 5, 6, 8, 14), 16):
+        C, g = coupling._projection_table(t)
+        assert np.abs(C - _projection_table_loop(t)).max() <= 1e-14
+        # g gathers m3 = -m1-m2 wherever that order exists in block l3
+        l1, l2, l3 = t
+        m3 = -np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1))
+        ok = np.abs(m3) <= l3
+        assert np.array_equal(g[ok], (m3 + l3)[ok])
+        assert g.min() >= 0 and g.max() <= 2 * l3

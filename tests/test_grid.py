@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,17 +174,18 @@ def test_ppm_header_comments_and_errors(tmp_path):
     img = grid.read_ppm(p)
     assert img.shape == (2, 4, 3)
 
-    bad_magic = tmp_path / "m.ppm"
-    bad_magic.write_bytes(b"P5\n4 2\n255\n" + raster)
-    with pytest.raises(ValueError):
-        grid.read_ppm(bad_magic)
+    def rejects(name, content, fault):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(bad)) + ": " + fault):
+            grid.read_ppm(bad)
 
-    bad_maxval = tmp_path / "v.ppm"
-    bad_maxval.write_bytes(b"P6\n4 2\n65535\n" + raster)
-    with pytest.raises(ValueError):
-        grid.read_ppm(bad_maxval)
-
-    truncated = tmp_path / "t.ppm"
-    truncated.write_bytes(b"P6\n4 2\n255\n" + raster[:-1])
-    with pytest.raises(ValueError):
-        grid.read_ppm(truncated)
+    rejects("m.ppm", b"P5\n4 2\n255\n" + raster, "not a binary PPM")
+    rejects("v.ppm", b"P6\n4 2\n65535\n" + raster, "only maxval 255")
+    rejects("t.ppm", b"P6\n4 2\n255\n" + raster[:-1], "truncated raster")
+    rejects("s.ppm", b"P6\nab 2\n255\n" + raster, "header width must be")
+    rejects("e.ppm", b"P6\n4 2\n", "header maxval must be")
+    rejects("n.ppm", b"P6\n-4 -2\n255\n" + raster, "header width must be")
+    rejects("z.ppm", b"P6\n4 0\n255\n", "header height must be")
+    rejects("u.ppm", b"P6\n4 2 # no newline", "unterminated header comment")
+    rejects("w.ppm", b"P6\n4 4\n255\n" + raster * 2, "ERP width must be")

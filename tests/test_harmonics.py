@@ -229,6 +229,41 @@ def test_synth_random_bandlimited_properties():
         synth_random_bandlimited(8, seed=0, decay=0.0)
 
 
+def _random_symmetric_loop(rng, l_max, decay):
+    # the per-m draw-and-mirror loop the vectorized draw replaced
+    c = np.zeros(n_coeffs(l_max), complex)
+    for l in range(l_max + 1):
+        s = (1.0 + l) ** (-decay)
+        blk = np.zeros(2 * l + 1, complex)
+        blk[l] = rng.standard_normal() * s
+        for m in range(1, l + 1):
+            zre, zim = rng.standard_normal(2) * (s / np.sqrt(2.0))
+            blk[l + m] = zre + 1j * zim
+            blk[l - m] = ((-1) ** m) * np.conj(blk[l + m])
+        c[l * l:(l + 1) * (l + 1)] = blk
+    return c
+
+
+def test_random_symmetric_matches_per_m_loop():
+    # key-free covers must not change: bit-identical to the loop
+    for decay in (0.0, 1.5):
+        got = harmonics._random_symmetric(np.random.default_rng(9), 16, decay)
+        want = _random_symmetric_loop(np.random.default_rng(9), 16, decay)
+        assert np.array_equal(got, want)
+
+
+def test_plan_cache_is_read_only_and_bounded():
+    p = harmonics._plan(16, 4)
+    assert harmonics._plan(16, 4) is p
+    for arr in (p.wrow, p.E) + p.P:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    maxsize = harmonics._plan.cache_info().maxsize
+    for H in range(4, 4 + maxsize + 1):
+        harmonics._plan(H, 2)
+    assert harmonics._plan.cache_info().currsize == maxsize
+
+
 def test_make_cover_statistics_and_determinism():
     x = make_cover(300)
     assert x.shape == (64, 128, 3)

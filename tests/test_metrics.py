@@ -68,11 +68,29 @@ def test_retained_energy_ratio():
     assert retained_energy_ratio(empty, 3) == 0.0
 
 
+def _flat_symmetric_noise_loop(rng, l_max, channels):
+    # the per-m loop the shared harmonics draw replaced; reference only
+    out = np.zeros((channels, harmonics.n_coeffs(l_max)), complex)
+    for ch in range(channels):
+        for l in range(l_max + 1):
+            blk = np.zeros(2 * l + 1, complex)
+            blk[l] = rng.standard_normal()
+            for m in range(1, l + 1):
+                zre, zim = rng.standard_normal(2) / np.sqrt(2.0)
+                blk[l + m] = zre + 1j * zim
+                blk[l - m] = ((-1) ** m) * np.conj(blk[l + m])
+            out[ch, l * l:(l + 1) * (l + 1)] = blk
+    return out
+
+
 def test_flat_symmetric_noise_is_symmetric():
     rng = np.random.default_rng(0)
     nz = metrics._flat_symmetric_noise(rng, 8, 3)
     c = harmonics.ShCoefficients(nz, 8, real=True)
     assert c.symmetry_deviation() < 1e-14
+    # same draws as the loop; x * (1/sqrt 2) and x / sqrt 2 may differ by an ulp
+    want = _flat_symmetric_noise_loop(np.random.default_rng(0), 8, 3)
+    assert np.allclose(nz, want, rtol=np.finfo(float).eps, atol=0.0)
 
 
 def test_noise_bias_fit_is_affine_in_variance():
