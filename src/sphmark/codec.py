@@ -10,6 +10,7 @@ stego image.
 import functools
 import json
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -86,10 +87,19 @@ def config_to_dict(cfg):
 
 
 def config_from_dict(d):
-    known = {f.name for f in fields(CodecConfig)}
-    bad = sorted(set(d) - known)
+    if not isinstance(d, dict):
+        raise ValueError("config must be a mapping, got %s" % type(d).__name__)
+    known = {f.name: f.type for f in fields(CodecConfig)}
+    bad = sorted(str(n) for n in set(d) - set(known))
     if bad:
         raise ValueError("unknown config keys: %s" % ", ".join(bad))
+    # JSON writes an integral float such as 1.0 as 1, and a tuple as a list
+    accept = {int: numbers.Integral, float: numbers.Real, bool: bool,
+              tuple: (list, tuple)}
+    for name, v in d.items():
+        if not isinstance(v, accept[known[name]]):
+            raise ValueError("config field %s must be %s, got %r"
+                             % (name, known[name].__name__, v))
     return CodecConfig(**d)
 
 
@@ -451,29 +461,35 @@ class SignatureSet:
     @classmethod
     def load(cls, base):
         base = _strip_sig_suffix(str(base))
-        with open(base + ".sig.json") as fh:
-            meta = json.load(fh)
-        if meta.get("format") != "sphmark-signature" or meta.get("version") != 1:
-            raise ValueError("not a recognized signature file: %s" % base)
-        cfg = config_from_dict(meta["config"])
-        with open(base + ".sig.bin", "rb") as fh:
+        js, bn = base + ".sig.json", base + ".sig.bin"
+        try:
+            with open(js) as fh:
+                meta = json.load(fh)  # a syntax error is a ValueError
+            if (not isinstance(meta, dict) or meta.get("format") != "sphmark-signature"
+                    or meta.get("version") != 1):
+                raise ValueError("not a recognized signature file")
+            cfg = config_from_dict(meta["config"])
+            alpha, F = float(meta["alpha"]), int(meta["feature_length"])
+        except KeyError as e:
+            raise ValueError("%s: missing field %s" % (js, e))
+        except (TypeError, ValueError) as e:
+            raise ValueError("%s: %s" % (js, e))
+        with open(bn, "rb") as fh:
             raw = fh.read()
-        if raw[:4] != b"SPHS" or struct.unpack("<I", raw[4:8])[0] != 1:
-            raise ValueError("signature binary header mismatch")
-        F = int(meta["feature_length"])
+        if raw[:8] != b"SPHS" + struct.pack("<I", 1):
+            raise ValueError("%s: signature binary header mismatch" % bn)
         nlm = harmonics.n_coeffs(cfg.l_max)
         counts = [F, cfg.k * F, cfg.channels * nlm * 2, cfg.channels * nlm * 2]
         if len(raw) != 8 + 8 * sum(counts):
-            raise ValueError("signature binary is truncated or oversized")
-        vals = np.frombuffer(raw, "<f8", offset=8)
+            raise ValueError("%s: signature binary is truncated or oversized" % bn)
+        vals = np.frombuffer(raw, "<f8", offset=8).copy()
         z0, dflat, cov, dlt = np.split(vals, np.cumsum(counts)[:-1])
-        cov = cov.reshape(cfg.channels, nlm, 2)
-        dlt = dlt.reshape(cfg.channels, nlm, 2)
-        sig = cls(cfg, float(meta["alpha"]), z0.copy(),
-                  dflat.reshape(cfg.k, F).copy(),
-                  cov[..., 0] + 1j * cov[..., 1],
-                  dlt[..., 0] + 1j * dlt[..., 1])
-        sig.validate()
+        sig = cls(cfg, alpha, z0, dflat.reshape(cfg.k, F),
+                  *(a.view("<c16").reshape(cfg.channels, nlm) for a in (cov, dlt)))
+        try:
+            sig.validate()
+        except ValueError as e:
+            raise ValueError("%s: %s" % (js, e))
         return sig
 
 

@@ -129,22 +129,20 @@ class BispectrumVector:
 
 
 def _contract(t, b1, b2, b3):
+    """Trivial-projection contraction of three blocks, either single 1-D rows
+    or channel-stacked (channels, 2l+1) blocks summed over channels."""
     C, g = _projection_table(t)
-    return np.einsum("ij,i,j,ij->", C, b1, b2, b3[g])
+    return np.einsum("ij,ci,cj,cij->", C, *np.atleast_2d(b1, b2),
+                     np.atleast_2d(b3)[:, g])
 
 
 def bispectrum_component(c, t):
     """I_t = sum_{m1+m2+m3=0} C^{0,0} c^{m1} c^{m2} c^{m3}, channel-summed."""
-    l1, l2, l3 = t
-    total = 0j
-    for ch in range(c.channels):
-        total += _contract(t, c.block(l1, ch), c.block(l2, ch), c.block(l3, ch))
-    return total
+    return _contract(t, *(c.block(l) for l in t))
 
 
 def bispectrum_vector(c, triplets):
-    vals = np.array([bispectrum_component(c, t) for t in triplets], complex)
-    return BispectrumVector(triplets, vals)
+    return BispectrumVector(triplets, [bispectrum_component(c, t) for t in triplets])
 
 
 def perturbation_sensitivity(c, delta, triplets):
@@ -153,12 +151,10 @@ def perturbation_sensitivity(c, delta, triplets):
         raise ValueError("perturbation must match the signal's l_max and channels")
     out = np.zeros(len(triplets), complex)
     for i, t in enumerate(triplets):
-        l1, l2, l3 = t
-        for ch in range(c.channels):
-            b1, b2, b3 = c.block(l1, ch), c.block(l2, ch), c.block(l3, ch)
-            d1, d2, d3 = delta.block(l1, ch), delta.block(l2, ch), delta.block(l3, ch)
-            out[i] += (_contract(t, d1, b2, b3) + _contract(t, b1, d2, b3)
-                       + _contract(t, b1, b2, d3))
+        b1, b2, b3 = (c.block(l) for l in t)
+        d1, d2, d3 = (delta.block(l) for l in t)
+        out[i] = (_contract(t, d1, b2, b3) + _contract(t, b1, d2, b3)
+                  + _contract(t, b1, b2, d3))
     return out
 
 

@@ -88,15 +88,20 @@ class LinearDecoder:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            obj = json.load(fh)
-        if obj.get("format") != "sphmark-decoder" or obj.get("version") != 1:
-            raise ValueError("not a recognized decoder checkpoint: %s" % path)
-        dec = cls(np.array(obj["weights"]), np.array(obj["bias"]),
-                  np.array(obj["mean"]), np.array(obj["scale"]),
-                  bool(obj["cube"]))
-        if dec.k != obj["k"] or dec.n_features != obj["n_features"]:
-            raise ValueError("decoder checkpoint shape mismatch")
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)  # a syntax error is a ValueError
+            if (not isinstance(obj, dict) or obj.get("format") != "sphmark-decoder"
+                    or obj.get("version") != 1):
+                raise ValueError("not a recognized decoder checkpoint")
+            dec = cls(*(obj[f] for f in ("weights", "bias", "mean", "scale")),
+                      bool(obj["cube"]))
+        except KeyError as e:
+            raise ValueError("%s: missing field %s" % (path, e))
+        except (TypeError, ValueError) as e:
+            raise ValueError("%s: %s" % (path, e))
+        if dec.k != obj.get("k") or dec.n_features != obj.get("n_features"):
+            raise ValueError("%s: decoder checkpoint shape mismatch" % path)
         return dec
 
 

@@ -313,15 +313,18 @@ def save_coefficients(c, path):
 
 def load_coefficients(path):
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("%s: bad magic, not a coefficient file" % path)
-        version, l_max, channels, real = struct.unpack("<III B", fh.read(13))
-        if version != _VERSION:
-            raise ValueError("%s: unsupported version %d" % (path, version))
-        n = channels * n_coeffs(l_max)
-        flat = np.frombuffer(fh.read(16 * n), "<f8")
-        if flat.size != 2 * n:
-            raise ValueError("%s: truncated payload" % path)
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError("%s: bad magic, not a coefficient file" % path)
+    if len(raw) < 17:
+        raise ValueError("%s: truncated header" % path)
+    version, l_max, channels, real = struct.unpack_from("<III B", raw, 4)
+    if version != _VERSION:
+        raise ValueError("%s: unsupported version %d" % (path, version))
+    n = channels * n_coeffs(l_max)
+    if len(raw) != 17 + 16 * n:
+        raise ValueError("%s: truncated or oversized payload" % path)
+    flat = np.frombuffer(raw, "<f8", offset=17)
     data = (flat[0::2] + 1j * flat[1::2]).reshape(channels, n_coeffs(l_max))
     return ShCoefficients(data, l_max, real=bool(real))
 

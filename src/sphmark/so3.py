@@ -6,20 +6,17 @@ matrices, c'_l = D^l(R) c_l.  Both actions use the same active ZYZ
 convention so they agree up to resampling error.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from . import grid
-from .coupling import _LOGFACT
-from .harmonics import ShCoefficients, SymmetryError
 
 __all__ = [
-    "Rotation", "random_rotation", "rotation_angle",
+    "Rotation", "random_rotation",
     "little_d", "wigner_D", "rotate_coeffs", "rotate_image",
 ]
-
-_L_CAP = 32  # factorial-sum little-d is double-precision safe up to here
 
 
 class Rotation:
@@ -111,6 +108,7 @@ class Rotation:
 
     @property
     def angle(self):
+        """Geodesic distance to the identity, omega = 2 arccos|q_w|, in [0, pi]."""
         return 2.0 * math.acos(min(1.0, abs(self.q[0])))
 
     def __repr__(self):
@@ -123,45 +121,26 @@ def random_rotation(seed):
     return Rotation(*v)
 
 
-def rotation_angle(R):
-    """Geodesic distance to the identity, omega = 2 arccos|q_w|, in [0, pi]."""
-    return R.angle
+@functools.lru_cache(maxsize=None)
+def _jy_eigenbasis(l):
+    """Read-only eigenvectors V of J_y in the |l m> basis, columns ordered by
+    eigenvalue -l..l, so that d^l(beta) = V diag(e^{-i beta m}) V^H."""
+    m = np.arange(-l, l)
+    J = np.diag(0.5j * np.sqrt(l * (l + 1) - m * (m + 1)), 1)  # <m|J_y|m+1>
+    lam, V = np.linalg.eigh(J + J.conj().T)
+    if np.abs(lam - np.arange(-l, l + 1)).max() > 1e-9:
+        raise RuntimeError("J_y eigenvalues of degree %d are not -l..l" % l)
+    V.setflags(write=False)
+    return V
 
 
 def little_d(l, beta):
-    """Wigner small-d matrix d^l_{m',m}(beta), indexed [m'+l, m+l].
-
-    Explicit factorial sum with log-factorial magnitudes; zero-power
-    corner cases (beta = 0 or pi) handled exactly.
-    """
-    if not (0 <= l <= _L_CAP):
-        raise ValueError("degree must be in [0, %d]" % _L_CAP)
-    d = np.zeros((2 * l + 1, 2 * l + 1))
-    cb, sb = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    for mp in range(-l, l + 1):
-        for m in range(-l, l + 1):
-            pref = 0.5 * (_LOGFACT[l + mp] + _LOGFACT[l - mp]
-                          + _LOGFACT[l + m] + _LOGFACT[l - m])
-            smin = max(0, m - mp)
-            smax = min(l + m, l - mp)
-            tot = 0.0
-            for s in range(smin, smax + 1):
-                den = (_LOGFACT[l + m - s] + _LOGFACT[s]
-                       + _LOGFACT[mp - m + s] + _LOGFACT[l - mp - s])
-                p_c = 2 * l + m - mp - 2 * s
-                p_s = mp - m + 2 * s
-                term = math.exp(pref - den)
-                if cb != 0.0:
-                    term *= cb ** p_c
-                elif p_c > 0:
-                    term = 0.0
-                if sb != 0.0:
-                    term *= sb ** p_s
-                elif p_s > 0:
-                    term = 0.0
-                tot += ((-1.0) ** (mp - m + s)) * term
-            d[mp + l, m + l] = tot
-    return d
+    """Wigner small-d matrix d^l_{m',m}(beta), indexed [m'+l, m+l], by exact
+    diagonalization of J_y (Feng et al., PRE 92, 043307, 2015); no degree cap."""
+    if l < 0:
+        raise ValueError("degree must be >= 0")
+    V = _jy_eigenbasis(l)
+    return ((V * np.exp(-1j * beta * np.arange(-l, l + 1))) @ V.conj().T).real
 
 
 def wigner_D(l, R):

@@ -7,7 +7,7 @@ evidence rather than tautology.
 """
 
 from fractions import Fraction
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -58,6 +58,26 @@ def d1_matrix(beta):
         [-s * r, c, s * r],
         [(1 - c) / 2, -s * r, (1 + c) / 2],
     ])
+
+
+def wigner_d_half_pi(l):
+    """Wigner small-d matrix d^l(pi/2), indexed [m'+l, m+l], exactly.
+
+    At beta = pi/2 the cos/sin powers of the factorial sum multiply to
+    2^-l, and the sum itself is an integer of binomials,
+        d = 2^-l sqrt((l+m')!(l-m')! / ((l+m)!(l-m)!))
+              * sum_k (-1)^(m'-m+k) C(l+m, k) C(l-m, l-m'-k),
+    so the square is an exact Fraction; one final float sqrt is the only
+    rounding."""
+    d = np.zeros((2 * l + 1, 2 * l + 1))
+    for mp in range(-l, l + 1):
+        for m in range(-l, l + 1):
+            s = sum((-1) ** (mp - m + k) * comb(l + m, k) * comb(l - m, l - mp - k)
+                    for k in range(max(0, m - mp), min(l + m, l - mp) + 1))
+            sq = Fraction(s * s * factorial(l + mp) * factorial(l - mp),
+                          factorial(l + m) * factorial(l - m) * 4 ** l)
+            d[mp + l, m + l] = (1 if s >= 0 else -1) * sqrt(sq)
+    return d
 
 
 def legendre_poly_norm(l, x):

@@ -296,6 +296,13 @@ def test_exit_code_usage_errors(tmp_path, capsys):
                      str(tmp_path / "x.ppm")]) == 1
     # extract needs side data or a decoder
     assert cli.main(["extract", "--image", "synth:4"]) == 1
+    # a malformed side file is a validation error that names the file
+    (tmp_path / "bad.sig.json").write_text(
+        '{"format": "sphmark-signature", "version": 1, "alpha": 0.1}')
+    (tmp_path / "bad.sig.bin").write_bytes(b"SPHS\x01")
+    assert cli.main(["extract", "--image", "synth:4",
+                     "--side", str(tmp_path / "bad")]) == 1
+    assert str(tmp_path / "bad.sig.json") in capsys.readouterr().err
 
 
 def test_exit_code_io_errors(tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -436,11 +438,34 @@ def test_signature_load_errors(tmp_path, clean_embed):
 
     bb = tmp_path / "img.sig.bin"
     raw = bb.read_bytes()
+    bpat = re.escape(str(bb))
     bb.write_bytes(raw[:-16])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match=bpat + ".*truncated"):
         SignatureSet.load(base)
-    bb.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="header"):
+    for bad in (b"XXXX" + raw[4:], raw[:5]):
+        bb.write_bytes(bad)
+        with pytest.raises(ValueError, match=bpat + ".*header"):
+            SignatureSet.load(base)
+    bb.write_bytes(raw)
+
+    # malformed JSON side files: every error names the file and the fault
+    good = json.loads(js.read_text())
+    jpat = re.escape(str(js))
+    cases = [({k: v for k, v in good.items() if k != f}, "missing field '%s'" % f)
+             for f in ("config", "alpha", "feature_length")]
+    cases += [
+        (dict(good, config=dict(good["config"], k="abc")), "field k must be int"),
+        (dict(good, config=[1, 2]), "config must be a mapping"),
+        (dict(good, alpha="abc"), "could not convert"),
+        (dict(good, alpha=-1.0), "strength must be positive"),
+        (dict(good, feature_length="abc"), "invalid literal for int()"),
+    ]
+    for obj, fault in cases:
+        js.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=jpat + ": .*" + re.escape(fault)):
+            SignatureSet.load(base)
+    js.write_text("{not json")
+    with pytest.raises(ValueError, match=jpat + ": Expecting"):
         SignatureSet.load(base)
 
 

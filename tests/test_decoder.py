@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -59,8 +62,21 @@ def test_decoder_save_load(tmp_path):
     assert np.array_equal(back.decode(x), dec.decode(x))
 
     p2 = tmp_path / "bad.json"
+    pat = re.escape(str(p2))
     p2.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=pat + ": not a recognized decoder checkpoint"):
+        LinearDecoder.load(p2)
+    good = json.loads(p.read_text())
+    for obj, fault in [({k: v for k, v in good.items() if k != "weights"},
+                        "missing field 'weights'"),
+                       (dict(good, bias="abc"), "could not convert string to float"),
+                       (dict(good, weights=[1.0, 2.0]), "not enough values to unpack"),
+                       (dict(good, k=4), "decoder checkpoint shape mismatch")]:
+        p2.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=pat + ": " + fault):
+            LinearDecoder.load(p2)
+    p2.write_text("[1, 2")
+    with pytest.raises(ValueError, match=pat + ": Expecting"):
         LinearDecoder.load(p2)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -304,9 +306,12 @@ def test_coefficients_serialization_errors(tmp_path):
         harmonics.load_coefficients(bad_version)
 
     truncated = tmp_path / "t.shc"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        harmonics.load_coefficients(truncated)
+    for bad, fault in [(raw[:-8], "truncated or oversized payload"),
+                       (raw + b"\0" * 16, "truncated or oversized payload"),
+                       (raw[:6], "truncated header")]:
+        truncated.write_bytes(bad)
+        with pytest.raises(ValueError, match=re.escape(str(truncated)) + ": " + fault):
+            harmonics.load_coefficients(truncated)
 
 
 def test_debug_json_dump(tmp_path):

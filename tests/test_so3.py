@@ -1,10 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 
-from sphmark import harmonics, so3
+from sphmark import coupling, harmonics, so3
 from sphmark.so3 import Rotation, little_d, random_rotation, rotate_coeffs, rotate_image, wigner_D
 
-from oracles import d1_matrix
+from oracles import d1_matrix, wigner_d_half_pi
+
+
+def _little_d_factorial(l, beta):
+    """The former little_d, kept as a reference: explicit factorial sum with
+    log-factorial magnitudes, corner cases beta = 0 or pi handled exactly.
+    Loses accuracy fast above l ~ 16 (alternating terms)."""
+    d = np.zeros((2 * l + 1, 2 * l + 1))
+    cb, sb = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    lf = coupling.log_factorial
+    for mp in range(-l, l + 1):
+        for m in range(-l, l + 1):
+            pref = 0.5 * (lf(l + mp) + lf(l - mp) + lf(l + m) + lf(l - m))
+            tot = 0.0
+            for s in range(max(0, m - mp), min(l + m, l - mp) + 1):
+                den = lf(l + m - s) + lf(s) + lf(mp - m + s) + lf(l - mp - s)
+                p_c = 2 * l + m - mp - 2 * s
+                p_s = mp - m + 2 * s
+                term = math.exp(pref - den)
+                if cb != 0.0:
+                    term *= cb ** p_c
+                elif p_c > 0:
+                    term = 0.0
+                if sb != 0.0:
+                    term *= sb ** p_s
+                elif p_s > 0:
+                    term = 0.0
+                tot += ((-1.0) ** (mp - m + s)) * term
+            d[mp + l, m + l] = tot
+    return d
 
 
 def test_quaternion_normalization_and_identity():
@@ -88,13 +119,32 @@ def test_little_d_corner_angles():
 
 
 def test_little_d_orthogonality_and_cap():
-    for l in (3, 8, 16):
+    for l in (3, 8, 16, 33, 64):
         d = little_d(l, 0.9)
-        assert np.abs(d @ d.T - np.eye(2 * l + 1)).max() < 1e-11
-    with pytest.raises(ValueError):
-        little_d(33, 0.5)
+        assert np.abs(d @ d.T - np.eye(2 * l + 1)).max() < 1e-13
     with pytest.raises(ValueError):
         little_d(-1, 0.5)
+
+
+def test_little_d_matches_exact_half_pi():
+    for l in range(33):
+        assert np.abs(little_d(l, np.pi / 2) - wigner_d_half_pi(l)).max() < 1e-14
+
+
+def test_little_d_matches_factorial_sum():
+    for l in (0, 1, 2, 5, 9, 16):
+        for beta in (0.0, 0.37, 1.8, np.pi - 0.1, np.pi):
+            assert np.abs(little_d(l, beta) - _little_d_factorial(l, beta)).max() < 1e-10
+
+
+def test_full_bispectrum_invariant_at_degree_24():
+    trips = coupling.admissible_triplets(range(25), 24)
+    for seed in range(3):
+        c = harmonics.synth_random_bandlimited(24, seed)
+        base = coupling.bispectrum_vector(c, trips).values
+        v = coupling.bispectrum_vector(
+            rotate_coeffs(c, random_rotation(100 + seed)), trips).values
+        assert np.abs(v - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_wigner_D_unitary_and_sign_ambiguity():
