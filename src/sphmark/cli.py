@@ -61,7 +61,13 @@ def build_config(args):
     base = codec.config_to_dict(codec.CodecConfig())
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)  # a syntax error is a ValueError
+            except ValueError as e:
+                raise ValueError("%s: %s" % (args.config, e))
+        if not isinstance(loaded, dict):
+            raise ValueError("%s: config must be a JSON object, got %s"
+                             % (args.config, type(loaded).__name__))
         base.update(loaded)
     flag_map = {"l_max": "l_max", "k": "k", "alpha": "alpha",
                 "groups": "groups", "channels": "channels",

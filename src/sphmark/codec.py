@@ -225,8 +225,7 @@ def _patterns(key, L_embed, l_max, k, n_groups, channels):
 
 class _FeatureBank:
     __slots__ = ("L_embed", "l_max", "channels", "G", "n_ctx", "n_pairs",
-                 "trips", "tensors", "sw", "ctx_pairs", "ctx_weights",
-                 "roster", "n_features")
+                 "trips", "sw", "ctx_pairs", "ctx_weights", "roster", "n_features")
 
     def __init__(self, L_embed, l_max, channels, G, n_ctx, n_pairs):
         self.L_embed = L_embed
@@ -238,7 +237,6 @@ class _FeatureBank:
         self.trips = coupling.admissible_triplets(L_embed, l_max)
         if not self.trips:
             raise ValueError("embed degrees admit no invariant couplings")
-        self.tensors = {t: _dense_tensor(t) for t in self.trips}
         self.sw = _slice_profiles(G, len(L_embed), channels)
         self._build_contexts_plan()
         self._build_roster()
@@ -286,28 +284,18 @@ def _slice_profiles(n_groups, n_degrees, channels):
     return S
 
 
-def _scatter(vals, idx, n):
-    """Read-only (*vals.shape, n) tensor holding vals[i, j] at [i, j, idx[i, j]];
-    out-of-range idx only meets zero vals and is clipped."""
-    out = np.zeros(vals.shape + (n,))
-    np.put_along_axis(out, np.clip(idx, 0, n - 1)[..., None], vals[..., None],
-                      axis=2)
-    out.setflags(write=False)
-    return out
-
-
-def _dense_tensor(t):
-    C, g = coupling._projection_table(t)
-    return _scatter(C, g, 2 * t[2] + 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _cg_tensor(la, lb, l):
-    # Clebsch-Gordan coupling (la x lb -> l), dense over (m1, m2, m = m1+m2)
+    # Clebsch-Gordan coupling (la x lb -> l), dense over (m1, m2, m = m1+m2);
+    # where |m| > l the coefficient is 0 and its index is clipped into range
     m = np.add.outer(np.arange(-la, la + 1), np.arange(-lb, lb + 1))
     T = (((-1.0) ** (la - lb + m) * math.sqrt(2 * l + 1))
          * coupling.threej_table(la, lb, l))
-    return _scatter(T, m + l, 2 * l + 1)
+    out = np.zeros(T.shape + (2 * l + 1,))
+    np.put_along_axis(out, np.clip(m + l, 0, 2 * l)[..., None], T[..., None],
+                      axis=2)
+    out.setflags(write=False)
+    return out
 
 
 _feature_bank = functools.lru_cache(maxsize=None)(_FeatureBank)
@@ -322,71 +310,63 @@ def feature_length(cfg=None):
     return _bank(cfg or CodecConfig()).n_features
 
 
-def _block(data, ch, l):
-    return data[ch, l * l:(l + 1) * (l + 1)]
-
-
 def _context_rows(bank, data):
+    """Per embed degree l, n_ctx unit rows: the (la x lb -> l) coupling of
+    channel mixes of two non-embed degree blocks."""
     ctx = {}
     for l in bank.L_embed:
         rows = np.empty((bank.n_ctx, 2 * l + 1), complex)
         wch = bank.ctx_weights[l]
         for a, (la, lb) in enumerate(bank.ctx_pairs[l]):
-            u = np.zeros(2 * la + 1, complex)
-            v = np.zeros(2 * lb + 1, complex)
-            for ch in range(bank.channels):
-                u += wch[a, 0, ch] * _block(data, ch, la)
-                v += wch[a, 1, ch] * _block(data, ch, lb)
-            out = np.einsum("ijm,i,j->m", _cg_tensor(la, lb, l), u, v,
-                            optimize=True)
+            u = wch[a, 0] @ data[:, la * la:(la + 1) * (la + 1)]
+            v = wch[a, 1] @ data[:, lb * lb:(lb + 1) * (lb + 1)]
+            out = v @ np.tensordot(u, _cg_tensor(la, lb, l), 1)
             rows[a] = out / (np.linalg.norm(out) + 1e-30)
         ctx[l] = rows
     return ctx
 
 
-def _features(bank, data):
-    """Invariant feature vector, group-major: all of one group's entries
-    are contiguous (len(trips) pure couplings, then the context couplings)."""
-    ctx = _context_rows(bank, data)
-    Y = {}
-    for li, l in enumerate(bank.L_embed):
-        blocks = np.stack([_block(data, ch, l) for ch in range(bank.channels)])
-        Y[l] = bank.sw[:, li, :] @ blocks  # (G, 2l+1)
-    T = len(bank.trips)
-    pure = np.empty((T, bank.G))
-    ctxf = np.empty((T, bank.G, bank.n_pairs))
+def _context(bank, data):
+    """The part of the features that only the non-embed degrees set: yield
+    (ti, l, groups, W) per triplet ti and keyed slot s, l = t[s], where
+    W[x, p] is the context coupling of group groups[x], pair p, with the
+    keyed leg free (C^{0,0} is symmetric in its legs, so that leg goes
+    first).  Lazy, so one W is alive at a time."""
+    rows = _context_rows(bank, data)
     for ti, t in enumerate(bank.trips):
-        l1, l2, l3 = t
-        B = bank.tensors[t]
-        pure[ti] = np.einsum("ijm,gi,gj,gm->g", B, Y[l1], Y[l2], Y[l3],
-                             optimize=True).real
         slots, pairs = bank.roster[t]
-        rows = np.empty((bank.G, bank.n_pairs))
         for s in range(3):
-            gsel = np.where(slots == s)[0]
-            if gsel.size == 0:
-                continue
-            A = pairs[gsel, :, 0]
-            Bb = pairs[gsel, :, 1]
-            # one leg carries the keyed group mix, the other two carry
-            # selected context rows; which leg rotates through s
-            if s == 0:
-                BY = np.einsum("ijm,xi->xjm", B, Y[l1][gsel], optimize=True)
-                tjm = np.einsum("xjm,xpm->xpj", BY, ctx[l3][Bb], optimize=True)
-                r = np.einsum("xpj,xpj->xp", tjm, ctx[l2][A], optimize=True).real
-            elif s == 1:
-                BY = np.einsum("ijm,xj->xim", B, Y[l2][gsel], optimize=True)
-                tim = np.einsum("xim,xpm->xpi", BY, ctx[l3][Bb], optimize=True)
-                r = np.einsum("xpi,xpi->xp", tim, ctx[l1][A], optimize=True).real
-            else:
-                BY = np.einsum("ijm,xm->xij", B, Y[l3][gsel], optimize=True)
-                tij = np.einsum("xij,xpi->xpj", BY, ctx[l1][A], optimize=True)
-                r = np.einsum("xpj,xpj->xp", tij, ctx[l2][Bb], optimize=True).real
-            rows[gsel] = r
-        ctxf[ti] = rows
-    per_group = np.concatenate(
-        [pure.T, ctxf.transpose(1, 0, 2).reshape(bank.G, -1)], axis=1)
-    return per_group.ravel()
+            g = np.flatnonzero(slots == s)
+            o1, o2 = t[:s] + t[s + 1:]
+            yield ti, t[s], g, coupling._contract(
+                (t[s], o1, o2), None, rows[o1][pairs[g, :, 0]],
+                rows[o2][pairs[g, :, 1]])
+
+
+def _mix(bank, data):
+    """Per embed degree l, the group channel mixes (..., G, 2l+1) of
+    coefficients (..., channels, n_coeffs)."""
+    return {l: bank.sw[:, li, :] @ data[..., l * l:(l + 1) * (l + 1)]
+            for li, l in enumerate(bank.L_embed)}
+
+
+def _pure(bank, Y):
+    """Pure couplings of the group mixes, (..., G, len(trips))."""
+    return np.stack([coupling._contract(t, *(Y[l] for l in t)).real
+                     for t in bank.trips], axis=-1)
+
+
+def _keyed(bank, ctx, Y, pure):
+    """Feature vectors (..., n_features) of the group mixes Y, group-major:
+    one group's entries are contiguous, its len(trips) pure couplings (given
+    as pure, (..., G, len(trips))), then its context couplings of Y."""
+    T = len(bank.trips)
+    out = np.empty(pure.shape[:-1] + (T * (1 + bank.n_pairs),))
+    out[..., :T] = pure
+    ctxf = out[..., T:].reshape(pure.shape + (bank.n_pairs,))
+    for ti, l, g, W in ctx:
+        ctxf[..., g, ti, :] = np.einsum("...xi,xpi->...xp", Y[l][..., g, :], W).real
+    return out.reshape(pure.shape[:-2] + (-1,))
 
 
 def features_from_coeffs(c, cfg=None):
@@ -399,7 +379,9 @@ def features_from_coeffs(c, cfg=None):
         data = np.atleast_2d(np.asarray(c, complex))
     if data.shape[0] != cfg.channels:
         raise ValueError("channel count does not match config")
-    return _features(_bank(cfg), data)
+    bank = _bank(cfg)
+    Y = _mix(bank, data)
+    return _keyed(bank, _context(bank, data), Y, _pure(bank, Y))
 
 
 def compute_features(x, cfg=None):
@@ -455,8 +437,7 @@ class SignatureSet:
             for arr in (self.z0, self.directions):
                 fh.write(np.ascontiguousarray(arr, "<f8").tobytes())
             for arr in (self.cover_coeffs, self.delta_coeffs):
-                ri = np.stack([arr.real, arr.imag], axis=-1)
-                fh.write(np.ascontiguousarray(ri, "<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, "<c16").tobytes())
 
     @classmethod
     def load(cls, base):
@@ -507,12 +488,19 @@ def make_signature(cover_coeffs, key, cfg, alpha=None):
     bank = _bank(cfg)
     P = generate_patterns(key, cfg)
     a = alpha if alpha is not None else cfg.alpha * coefficient_rms(data, cfg.L_embed)
-    z0 = _features(bank, data)
-    d = np.empty((cfg.k, bank.n_features))
-    for kk in range(cfg.k):
-        d[kk] = (_features(bank, data + a * P[kk])
-                 - _features(bank, data - a * P[kk]))
-    return z0, d, a
+    Y, Q = _mix(bank, data), _mix(bank, a * P)
+    # Row 0 is z0 = f(c), row 1 + k is d_k = f(c + aP_k) - f(c - aP_k).
+    # The patterns live on the embed degrees only, so every row sees the
+    # cover's context, and the context couplings are linear in the keyed
+    # mix: their part of d_k is f_ctx(2aP_k).  Only the pure couplings are
+    # evaluated at both signs.
+    pure = np.concatenate([_pure(bank, Y)[None],
+                           _pure(bank, {l: Y[l] + Q[l] for l in Y})
+                           - _pure(bank, {l: Y[l] - Q[l] for l in Y})])
+    X = {l: np.concatenate([Y[l][None], 2.0 * Q[l]]) for l in Y}
+    del Q  # X replaces it: hold the ~1 MB batch once
+    f = _keyed(bank, _context(bank, data), X, pure)
+    return f[0], f[1:], a
 
 
 # ------------------------------------------------------------ embed/extract
@@ -619,7 +607,7 @@ def extract_nonblind(y, side, key=None):
     c = harmonics.forward_sht(np.asarray(y, float), cfg.l_max)
     if c.channels != cfg.channels:
         raise ValueError("image channels do not match the signature")
-    z = _features(_bank(cfg), c.data)
+    z = features_from_coeffs(c, cfg)
     if key is None:
         z0, d = side.z0, side.directions
     else:

@@ -12,6 +12,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "log_factorial", "wigner_3j", "threej_table", "trivial_projection_coeff",
@@ -99,17 +100,13 @@ def admissible_triplets(L, l_max):
 
 @functools.lru_cache(maxsize=None)
 def _projection_table(t):
-    """Read-only (C, g): C[m1+l1, m2+l2] = C^{0,0}, m3 = -m1-m2 gathered from
-    block l3 at index g; where |m3| > l3, C is 0 and g clipped into range."""
+    """Read-only C[m1+l1, m2+l2] = C^{0,0} at m3 = -m1-m2 (0 where |m3| > l3)."""
     l1, l2, l3 = t
     T = threej_table(l1, l2, l3)
     C = (math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
          * T[l1, l2]) * T
-    g = np.clip(l3 - np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1)),
-                0, 2 * l3)
-    for arr in (C, g):
-        arr.setflags(write=False)
-    return C, g
+    C.setflags(write=False)
+    return C
 
 
 class BispectrumVector:
@@ -129,16 +126,28 @@ class BispectrumVector:
 
 
 def _contract(t, b1, b2, b3):
-    """Trivial-projection contraction of three blocks, either single 1-D rows
-    or channel-stacked (channels, 2l+1) blocks summed over channels."""
-    C, g = _projection_table(t)
-    return np.einsum("ij,ci,cj,cij->", C, *np.atleast_2d(b1, b2),
-                     np.atleast_2d(b3)[:, g])
+    """Trivial-projection contraction of three degree blocks (last axis m,
+    leading axes broadcast; t in any order).  b1=None leaves leg 1 free, the
+    result keeping a last axis of 2*l1+1.  b3 is read at m3 = -m1-m2, index
+    (l1+l2+l3)-i-j: a zero-copy Hankel view of the reversed block, padded
+    with l1+l2-l3 zeros per side for the orders |m3| > l3."""
+    l1, l2, l3 = t
+    n = l1 + l2 - l3
+    if n < 0:
+        raise ValueError("degrees %r violate the triangle rule l3 <= l1 + l2" % (t,))
+    pad = np.zeros(b3.shape[:-1] + (2 * (l1 + l2) + 1,), b3.dtype)
+    pad[..., n:n + 2 * l3 + 1] = b3[..., ::-1]
+    H = as_strided(pad, pad.shape[:-1] + (2 * l1 + 1, 2 * l2 + 1),
+                   pad.strides + pad.strides[-1:], writeable=False)
+    C = _projection_table(t)
+    if b1 is None:
+        return np.einsum("ij,...j,...ij->...i", C, b2, H)
+    return np.einsum("ij,...i,...j,...ij->...", C, b1, b2, H)
 
 
 def bispectrum_component(c, t):
     """I_t = sum_{m1+m2+m3=0} C^{0,0} c^{m1} c^{m2} c^{m3}, channel-summed."""
-    return _contract(t, *(c.block(l) for l in t))
+    return _contract(t, *(c.block(l) for l in t)).sum()
 
 
 def bispectrum_vector(c, triplets):
@@ -154,7 +163,7 @@ def perturbation_sensitivity(c, delta, triplets):
         b1, b2, b3 = (c.block(l) for l in t)
         d1, d2, d3 = (delta.block(l) for l in t)
         out[i] = (_contract(t, d1, b2, b3) + _contract(t, b1, d2, b3)
-                  + _contract(t, b1, b2, d3))
+                  + _contract(t, b1, b2, d3)).sum()
     return out
 
 

@@ -301,14 +301,11 @@ _VERSION = 1
 
 
 def save_coefficients(c, path):
-    """Little-endian binary: header + (re, im) doubles, channel/l/m ascending."""
+    """Little-endian binary: header + <c16 (re, im) pairs, channel/l/m ascending."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III B", _VERSION, c.l_max, c.channels, int(c.real)))
-        flat = np.empty(c.channels * n_coeffs(c.l_max) * 2)
-        flat[0::2] = c.data.real.ravel()
-        flat[1::2] = c.data.imag.ravel()
-        fh.write(flat.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(c.data, "<c16").tobytes())
 
 
 def load_coefficients(path):
@@ -324,9 +321,8 @@ def load_coefficients(path):
     n = channels * n_coeffs(l_max)
     if len(raw) != 17 + 16 * n:
         raise ValueError("%s: truncated or oversized payload" % path)
-    flat = np.frombuffer(raw, "<f8", offset=17)
-    data = (flat[0::2] + 1j * flat[1::2]).reshape(channels, n_coeffs(l_max))
-    return ShCoefficients(data, l_max, real=bool(real))
+    data = np.frombuffer(raw, "<c16", offset=17).reshape(channels, n_coeffs(l_max))
+    return ShCoefficients(data.copy(), l_max, real=bool(real))
 
 
 def coefficients_debug_dict(c):

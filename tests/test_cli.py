@@ -303,6 +303,14 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert cli.main(["extract", "--image", "synth:4",
                      "--side", str(tmp_path / "bad")]) == 1
     assert str(tmp_path / "bad.sig.json") in capsys.readouterr().err
+    # so is a --config file that is not JSON, or not a JSON object
+    for name, text in (("broken.json", "{not json"), ("list.json", "[1, 2]")):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert cli.main(["embed", "--cover", "synth:4", "--key", "1",
+                         "--payload", PAYLOAD, "--config", str(cfg),
+                         "--out", str(tmp_path / "x.ppm")]) == 1
+        assert capsys.readouterr().err.startswith("error: %s: " % cfg)
 
 
 def test_exit_code_io_errors(tmp_path):

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -156,6 +158,7 @@ def test_conj_symmetric_row_matches_per_m_loop():
         assert np.array_equal(got, want)
 
 
+@functools.lru_cache(maxsize=None)
 def _cg_tensor_loop(la, lb, l):
     # the per-entry Clebsch-Gordan builder the scatter replaced
     T = np.zeros((2 * la + 1, 2 * lb + 1, 2 * l + 1))
@@ -169,6 +172,7 @@ def _cg_tensor_loop(la, lb, l):
     return T
 
 
+@functools.lru_cache(maxsize=None)
 def _dense_tensor_loop(t):
     # the per-entry dense codec tensor, C^{0,0} placed at m3 = -m1-m2
     l1, l2, l3 = t
@@ -186,10 +190,8 @@ def _dense_tensor_loop(t):
 def test_coupling_tensors_match_per_entry_loops():
     bank = codec._bank(CodecConfig())
     for t in bank.trips:
-        B = bank.tensors[t]
-        assert np.abs(B - _dense_tensor_loop(t)).max() <= 1e-14
         slots, pairs = bank.roster[t]
-        for arr in (B, slots, pairs, bank.ctx_weights[t[0]]):
+        for arr in (slots, pairs, bank.ctx_weights[t[0]]):
             with pytest.raises(ValueError):
                 arr[0] = 0
     cg = {(la, lb, l) for l in bank.L_embed for la, lb in bank.ctx_pairs[l]}
@@ -261,6 +263,100 @@ def test_feature_displacement_linear_in_strength():
         z0 = features_from_coeffs(c, cfg)
         disp.append(np.linalg.norm(features_from_coeffs(after, cfg) - z0))
     assert all(b > a + 5e-3 * a for a, b in zip(disp, disp[1:]))
+
+
+def _context_rows_loop(bank, data):
+    # the per-channel accumulation the one-matmul-per-leg rows replaced
+    ctx = {}
+    for l in bank.L_embed:
+        rows = np.empty((bank.n_ctx, 2 * l + 1), complex)
+        wch = bank.ctx_weights[l]
+        for a, (la, lb) in enumerate(bank.ctx_pairs[l]):
+            u = np.zeros(2 * la + 1, complex)
+            v = np.zeros(2 * lb + 1, complex)
+            for ch in range(bank.channels):
+                u += wch[a, 0, ch] * data[ch, la * la:(la + 1) * (la + 1)]
+                v += wch[a, 1, ch] * data[ch, lb * lb:(lb + 1) * (lb + 1)]
+            out = np.einsum("ijm,i,j->m", _cg_tensor_loop(la, lb, l), u, v)
+            rows[a] = out / (np.linalg.norm(out) + 1e-30)
+        ctx[l] = rows
+    return ctx
+
+
+def _features_three_branch(bank, data):
+    # the dense-tensor feature path with one einsum branch per keyed slot,
+    # which the one trilinear kernel replaced; reference only
+    ctx = _context_rows_loop(bank, data)
+    Y = {}
+    for li, l in enumerate(bank.L_embed):
+        Y[l] = bank.sw[:, li, :] @ data[:, l * l:(l + 1) * (l + 1)]
+    T = len(bank.trips)
+    pure = np.empty((T, bank.G))
+    ctxf = np.empty((T, bank.G, bank.n_pairs))
+    for ti, t in enumerate(bank.trips):
+        l1, l2, l3 = t
+        B = _dense_tensor_loop(t)
+        pure[ti] = np.einsum("ijm,gi,gj,gm->g", B, Y[l1], Y[l2], Y[l3],
+                             optimize=True).real
+        slots, pairs = bank.roster[t]
+        rows = np.empty((bank.G, bank.n_pairs))
+        for s in range(3):
+            gsel = np.where(slots == s)[0]
+            if gsel.size == 0:
+                continue
+            A = pairs[gsel, :, 0]
+            Bb = pairs[gsel, :, 1]
+            if s == 0:
+                BY = np.einsum("ijm,xi->xjm", B, Y[l1][gsel], optimize=True)
+                tjm = np.einsum("xjm,xpm->xpj", BY, ctx[l3][Bb], optimize=True)
+                r = np.einsum("xpj,xpj->xp", tjm, ctx[l2][A], optimize=True).real
+            elif s == 1:
+                BY = np.einsum("ijm,xj->xim", B, Y[l2][gsel], optimize=True)
+                tim = np.einsum("xim,xpm->xpi", BY, ctx[l3][Bb], optimize=True)
+                r = np.einsum("xpi,xpi->xp", tim, ctx[l1][A], optimize=True).real
+            else:
+                BY = np.einsum("ijm,xm->xij", B, Y[l3][gsel], optimize=True)
+                tij = np.einsum("xij,xpi->xpj", BY, ctx[l1][A], optimize=True)
+                r = np.einsum("xpj,xpj->xp", tij, ctx[l2][Bb], optimize=True).real
+            rows[gsel] = r
+        ctxf[ti] = rows
+    per_group = np.concatenate(
+        [pure.T, ctxf.transpose(1, 0, 2).reshape(bank.G, -1)], axis=1)
+    return per_group.ravel()
+
+
+def _make_signature_loop(data, key, cfg, a):
+    # the per-bit finite-difference loop the closed form replaced
+    bank = codec._bank(cfg)
+    P = generate_patterns(key, cfg)
+    z0 = _features_three_branch(bank, data)
+    d = np.empty((cfg.k, bank.n_features))
+    for kk in range(cfg.k):
+        d[kk] = (_features_three_branch(bank, data + a * P[kk])
+                 - _features_three_branch(bank, data - a * P[kk]))
+    return z0, d
+
+
+@pytest.mark.parametrize("groups", [0, 2, 1])
+def test_features_match_three_branch_reference(groups):
+    # groups 2 and 1 leave one and two of the three keyed slots empty
+    cfg = CodecConfig(groups=groups)
+    bank = codec._bank(cfg)
+    for H in (64, 256):
+        c = harmonics.forward_sht(harmonics.make_cover(3, H=H), cfg.l_max).data
+        want = _features_three_branch(bank, c)
+        got = features_from_coeffs(c, cfg)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(k=8, groups=2)])
+def test_make_signature_matches_finite_difference_loop(kw):
+    cfg = CodecConfig(**kw)
+    c = harmonics.forward_sht(harmonics.make_cover(4), cfg.l_max).data
+    z0, d, a = make_signature(c, 321, cfg)
+    z0_ref, d_ref = _make_signature_loop(c, 321, cfg, a)
+    assert np.abs(z0 - z0_ref).max() <= 1e-12 * np.abs(z0_ref).max()
+    assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
 
 
 def test_delta_features_match_matched_filter_directions():
@@ -406,12 +502,22 @@ def test_embedding_mask_composition():
 
 # ------------------------------------------------------------ side info
 
+def _sig_bin_stacked(side):
+    # the np.stack([re, im]) .sig.bin writer the <c16 one replaced
+    out = [b"SPHS" + struct.pack("<I", 1)]
+    out += [np.ascontiguousarray(a, "<f8").tobytes()
+            for a in (side.z0, side.directions)]
+    out += [np.ascontiguousarray(np.stack([a.real, a.imag], axis=-1), "<f8").tobytes()
+            for a in (side.cover_coeffs, side.delta_coeffs)]
+    return b"".join(out)
+
+
 def test_signature_save_load_round_trip(tmp_path, clean_embed):
     _, _, _, side = clean_embed
     base = tmp_path / "img"
     side.save(base)
     assert (tmp_path / "img.sig.json").exists()
-    assert (tmp_path / "img.sig.bin").exists()
+    assert (tmp_path / "img.sig.bin").read_bytes() == _sig_bin_stacked(side)
     back = SignatureSet.load(base)
     assert back.config == side.config
     assert back.alpha == side.alpha

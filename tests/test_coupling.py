@@ -258,13 +258,12 @@ def test_bispectrum_to_csv(tmp_path):
 
 
 def test_projection_tables_are_immutable():
-    C, g = coupling._projection_table((2, 2, 2))
-    for arr in (C, g, coupling.threej_table(2, 3, 4)):
+    C = coupling._projection_table((2, 2, 2))
+    for arr in (C, coupling.threej_table(2, 3, 4)):
         with pytest.raises(ValueError):
             arr[0] = 0
     # repeated calls hand back the same cached objects
-    again = coupling._projection_table((2, 2, 2))
-    assert again[0] is C
+    assert coupling._projection_table((2, 2, 2)) is C
     assert coupling.threej_table(2, 3, 4) is coupling.threej_table(2, 3, 4)
 
 
@@ -305,11 +304,55 @@ def _projection_table_loop(t):
 
 def test_projection_table_matches_per_entry_loop():
     for t in admissible_triplets((1, 2, 5, 6, 8, 14), 16):
-        C, g = coupling._projection_table(t)
+        C = coupling._projection_table(t)
         assert np.abs(C - _projection_table_loop(t)).max() <= 1e-14
-        # g gathers m3 = -m1-m2 wherever that order exists in block l3
-        l1, l2, l3 = t
-        m3 = -np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1))
-        ok = np.abs(m3) <= l3
-        assert np.array_equal(g[ok], (m3 + l3)[ok])
-        assert g.min() >= 0 and g.max() <= 2 * l3
+
+
+def _gather(t):
+    # index of m3 = -m1-m2 in block l3, clipped where that order is absent
+    l1, l2, l3 = t
+    return np.clip(l3 - np.add.outer(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1)),
+                   0, 2 * l3)
+
+
+def _contract_gather(t, b1, b2, b3):
+    # the materialised-gather contraction of single rows that the Hankel
+    # view replaced; b1=None leaves leg 1 free; reference only
+    C = coupling._projection_table(t)
+    if b1 is None:
+        return np.einsum("ij,j,ij->i", C, b2, b3[_gather(t)])
+    return np.einsum("ij,i,j,ij->", C, b1, b2, b3[_gather(t)])
+
+
+def test_contract_batched_and_free_leg_match_per_row_gather():
+    rng = np.random.default_rng(3)
+    # sorted and reordered legs, as the keyed features use them
+    for t in [(2, 2, 2), (6, 8, 14), (14, 6, 8), (8, 14, 6), (1, 2, 2)]:
+        b1, b2, b3 = (rng.standard_normal((4, 3, 2 * l + 1))
+                      + 1j * rng.standard_normal((4, 3, 2 * l + 1)) for l in t)
+        full = coupling._contract(t, b1, b2, b3)
+        free = coupling._contract(t, None, b2, b3)
+        assert full.shape == (4, 3) and free.shape == (4, 3, 2 * t[0] + 1)
+        want = np.array([[_contract_gather(t, b1[x, y], b2[x, y], b3[x, y])
+                          for y in range(3)] for x in range(4)])
+        want_free = np.array([[_contract_gather(t, None, b2[x, y], b3[x, y])
+                               for y in range(3)] for x in range(4)])
+        scale = max(np.abs(want).max(), 1.0)
+        assert np.abs(full - want).max() <= 1e-14 * scale
+        assert np.abs(free - want_free).max() <= 1e-14 * scale
+        # broadcasting: one row against the whole batch
+        assert np.abs(coupling._contract(t, b1[0, 0], b2, b3) - np.array(
+            [[_contract_gather(t, b1[0, 0], b2[x, y], b3[x, y])
+              for y in range(3)] for x in range(4)])).max() <= 1e-14 * scale
+    with pytest.raises(ValueError, match="triangle"):
+        coupling._contract((1, 1, 3), *(np.ones(2 * l + 1) for l in (1, 1, 3)))
+
+
+def test_bispectrum_vector_matches_channel_gather_form():
+    trips = admissible_triplets(range(17), 16)
+    c = harmonics.forward_sht(harmonics.make_cover(5), 16)
+    got = bispectrum_vector(c, trips).values
+    want = np.array([np.einsum("ij,ci,cj,cij->", coupling._projection_table(t),
+                               c.block(t[0]), c.block(t[1]),
+                               c.block(t[2])[:, _gather(t)]) for t in trips])
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

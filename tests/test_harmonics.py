@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -280,13 +281,28 @@ def test_make_cover_statistics_and_determinism():
     assert y.shape == (32, 64, 3)
 
 
+def _save_coefficients_interleaved(c, path):
+    # the manual (re, im) interleave the <c16 writer replaced; reference only
+    with open(path, "wb") as fh:
+        fh.write(harmonics._MAGIC)
+        fh.write(struct.pack("<III B", harmonics._VERSION, c.l_max, c.channels,
+                             int(c.real)))
+        flat = np.empty(c.channels * n_coeffs(c.l_max) * 2)
+        flat[0::2] = c.data.real.ravel()
+        flat[1::2] = c.data.imag.ravel()
+        fh.write(flat.astype("<f8").tobytes())
+
+
 def test_coefficients_serialization_round_trip(tmp_path):
-    c = synth_random_bandlimited(10, seed=17)
-    p = tmp_path / "c.shc"
-    harmonics.save_coefficients(c, p)
-    d = harmonics.load_coefficients(p)
-    assert d.l_max == c.l_max and d.channels == c.channels and d.real == c.real
-    assert np.array_equal(d.data, c.data)
+    for c in (synth_random_bandlimited(10, seed=17), forward_sht(make_cover(2), 16)):
+        p = tmp_path / "c.shc"
+        harmonics.save_coefficients(c, p)
+        _save_coefficients_interleaved(c, tmp_path / "ref.shc")
+        assert p.read_bytes() == (tmp_path / "ref.shc").read_bytes()
+        d = harmonics.load_coefficients(p)
+        assert d.l_max == c.l_max and d.channels == c.channels and d.real == c.real
+        assert np.array_equal(d.data, c.data)
+        d.data[0, 0] = 1.0                    # a loaded block is the caller's
 
 
 def test_coefficients_serialization_errors(tmp_path):
