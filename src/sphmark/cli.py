@@ -63,11 +63,9 @@ def build_config(args):
         with open(args.config) as fh:
             try:
                 loaded = json.load(fh)  # a syntax error is a ValueError
+                codec.check_config_fields(loaded)
             except ValueError as e:
                 raise ValueError("%s: %s" % (args.config, e))
-        if not isinstance(loaded, dict):
-            raise ValueError("%s: config must be a JSON object, got %s"
-                             % (args.config, type(loaded).__name__))
         base.update(loaded)
     flag_map = {"l_max": "l_max", "k": "k", "alpha": "alpha",
                 "groups": "groups", "channels": "channels",

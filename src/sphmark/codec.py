@@ -86,7 +86,9 @@ def config_to_dict(cfg):
                      else getattr(cfg, f.name)) for f in fields(CodecConfig)}
 
 
-def config_from_dict(d):
+def check_config_fields(d):
+    """Reject a non-mapping, unknown field names and wrong-typed values;
+    the rules across fields are CodecConfig's."""
     if not isinstance(d, dict):
         raise ValueError("config must be a mapping, got %s" % type(d).__name__)
     known = {f.name: f.type for f in fields(CodecConfig)}
@@ -100,6 +102,10 @@ def config_from_dict(d):
         if not isinstance(v, accept[known[name]]):
             raise ValueError("config field %s must be %s, got %r"
                              % (name, known[name].__name__, v))
+
+
+def config_from_dict(d):
+    check_config_fields(d)
     return CodecConfig(**d)
 
 
@@ -356,6 +362,20 @@ def _pure(bank, Y):
                      for t in bank.trips], axis=-1)
 
 
+def _placements(bank, Y, Q):
+    """First-order change of the pure couplings of the group mixes Y when
+    the batch Q (..., G, 2l+1) is placed on one leg, summed over the three
+    legs: (..., G, len(trips)).  C^{0,0} is symmetric in its legs, so the
+    placed leg goes first and the other two are contracted once."""
+    out = np.zeros(Q[bank.L_embed[0]].shape[:-1] + (len(bank.trips),))
+    for ti, t in enumerate(bank.trips):
+        for s in range(3):
+            o1, o2 = t[:s] + t[s + 1:]
+            W = coupling._contract((t[s], o1, o2), None, Y[o1], Y[o2])
+            out[..., ti] += np.einsum("...gi,gi->...g", Q[t[s]], W).real
+    return out
+
+
 def _keyed(bank, ctx, Y, pure):
     """Feature vectors (..., n_features) of the group mixes Y, group-major:
     one group's entries are contiguous, its len(trips) pure couplings (given
@@ -492,11 +512,11 @@ def make_signature(cover_coeffs, key, cfg, alpha=None):
     # Row 0 is z0 = f(c), row 1 + k is d_k = f(c + aP_k) - f(c - aP_k).
     # The patterns live on the embed degrees only, so every row sees the
     # cover's context, and the context couplings are linear in the keyed
-    # mix: their part of d_k is f_ctx(2aP_k).  Only the pure couplings are
-    # evaluated at both signs.
+    # mix: their part of d_k is f_ctx(2aP_k).  The pure couplings are
+    # trilinear, so theirs is exactly 2 (three first-order placements of
+    # Q_k) + 2 f_pure(Q_k), with no difference of near-equal terms.
     pure = np.concatenate([_pure(bank, Y)[None],
-                           _pure(bank, {l: Y[l] + Q[l] for l in Y})
-                           - _pure(bank, {l: Y[l] - Q[l] for l in Y})])
+                           2.0 * (_placements(bank, Y, Q) + _pure(bank, Q))])
     X = {l: np.concatenate([Y[l][None], 2.0 * Q[l]]) for l in Y}
     del Q  # X replaces it: hold the ~1 MB batch once
     f = _keyed(bank, _context(bank, data), X, pure)
@@ -535,7 +555,11 @@ def embed(cover, payload_bits, key, cfg=None):
     not erode the payload.  Pixels are clamped to [0, 1] at the end."""
     cfg = cfg or CodecConfig()
     x = np.asarray(cover, float)
-    grid.check_image(x)
+    H = grid.check_image(x)[0]
+    if H < 4 * cfg.l_max:
+        # below it the transform is not exact and rotations break decoding
+        raise ValueError("image height H=%d is below the minimum height "
+                         "4*l_max=%d for l_max=%d" % (H, 4 * cfg.l_max, cfg.l_max))
     bits = np.asarray(payload_bits)
     if bits.shape != (cfg.k,) or not np.isin(bits, (0, 1)).all():
         raise ValueError("payload must be %d bits of 0/1" % cfg.k)
@@ -543,7 +567,6 @@ def embed(cover, payload_bits, key, cfg=None):
     if c.channels != cfg.channels:
         raise ValueError("image has %d channel(s), config wants %d"
                          % (c.channels, cfg.channels))
-    H = x.shape[0]
     P = generate_patterns(key, cfg)
     a = cfg.alpha * coefficient_rms(c.data, cfg.L_embed)
     target = a * np.einsum("k,kcn->cn", 2.0 * bits - 1.0, P)

@@ -126,12 +126,16 @@ def sample_bilinear(x, theta, phi):
     c0 = np.floor(c).astype(int)
     dr = (r - r0)[..., None]
     dc = (c - c0)[..., None]
-    r0c = np.clip(r0, 0, H - 1)
-    r1c = np.clip(r0 + 1, 0, H - 1)
+    r0c = np.clip(r0, 0, H - 1) * W
+    r1c = np.clip(r0 + 1, 0, H - 1) * W
     c0m = np.mod(c0, W)
     c1m = np.mod(c0 + 1, W)
-    out = (f[r0c, c0m] * (1 - dr) * (1 - dc) + f[r0c, c1m] * (1 - dr) * dc
-           + f[r1c, c0m] * dr * (1 - dc) + f[r1c, c1m] * dr * dc)
+    # gather whole pixels by flat index r*W + c from the (H*W, ch) view
+    flat = f.reshape(H * W, ch)
+    out = (flat.take(r0c + c0m, 0) * (1 - dr) * (1 - dc)
+           + flat.take(r0c + c1m, 0) * (1 - dr) * dc
+           + flat.take(r1c + c0m, 0) * dr * (1 - dc)
+           + flat.take(r1c + c1m, 0) * dr * dc)
     return out if x.ndim == 3 else out[..., 0]
 
 

@@ -154,17 +154,29 @@ class ShCoefficients:
 # ------------------------------------------------------------ transform plan
 
 class _Plan:
+    """Tables of the separable transform on an H-row grid, m = 0..l_max.
+
+    Pa[m, l, row] is Pbar_l^m at the row colatitudes times the row
+    quadrature weight and 1/sqrt(2 pi) (analysis), Ps[m, l, row] the same
+    without the weight (synthesis); both are zero where l < m.  CS is the
+    real longitude matrix [cos(m phi) | sin(m phi)], (W, 2(l_max+1)).
+    (ms, ls) list the banded pairs l >= m; pos and neg are the flat indices
+    of (l, m) and (l, -m), sign is (-1)^m."""
+
     def __init__(self, H, l_max):
-        W = 2 * H
         theta, phi = grid.grid_angles(H)
-        self.H, self.W, self.l_max = H, W, l_max
-        self.wrow = grid.quadrature_weights(H)
-        tab = _legendre_table(l_max, np.cos(theta))
-        # per |m|: matrix (l_max+1-m, H) of Pbar_l^m over rows
-        self.P = tuple(np.array([tab[(l, m)] for l in range(m, l_max + 1)])
-                       for m in range(l_max + 1))
-        self.E = np.exp(1j * np.outer(phi, np.arange(-l_max, l_max + 1)))  # (W, 2l+1)
-        for arr in (self.wrow, self.E) + self.P:
+        self.Ps = np.zeros((l_max + 1, l_max + 1, H))
+        for (l, m), v in _legendre_table(l_max, np.cos(theta)).items():
+            self.Ps[m, l] = v / np.sqrt(2.0 * np.pi)
+        self.Pa = self.Ps * grid.quadrature_weights(H)
+        self.ms, self.ls = np.triu_indices(l_max + 1)
+        mphi = np.outer(phi, np.arange(l_max + 1))
+        self.CS = np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
+        self.pos = self.ls * self.ls + self.ls + self.ms
+        self.neg = self.ls * self.ls + self.ls - self.ms
+        self.sign = (-1.0) ** self.ms
+        for arr in (self.ms, self.ls, self.Ps, self.Pa, self.CS, self.pos,
+                    self.neg, self.sign):
             arr.setflags(write=False)
 
 
@@ -173,59 +185,66 @@ _plan = functools.lru_cache(maxsize=8)(_Plan)
 
 
 def forward_sht(x, l_max):
-    """Quadrature analysis: c_l^m = sum_pixels w * x * conj(Y_l^m)."""
+    """Quadrature analysis: c_l^m = sum_pixels w * x * conj(Y_l^m).
+
+    x is a real raster, so only m >= 0 is computed; the m < 0 half is its
+    conjugate mirror c_l^{-m} = (-1)^m conj(c_l^m), and the result is
+    flagged real."""
     H, W, ch = grid.check_image(x)
     if H < 2:
         raise ValueError("H must be >= 2")
     p = _plan(H, l_max)
+    L1 = l_max + 1
     f = x if x.ndim == 3 else x[:, :, None]
-    out = np.zeros((f.shape[2], n_coeffs(l_max)), complex)
-    pref = 1.0 / np.sqrt(2.0 * np.pi)
-    for c in range(f.shape[2]):
-        # longitude first: F[:, n] = sum_col x e^{-i n phi}; the 2pi/W
-        # longitude measure is already folded into the row weights
-        F = f[:, :, c] @ np.conj(p.E)
-        for m in range(l_max + 1):
-            ls = np.arange(m, l_max + 1)
-            col = F[:, m + l_max] * p.wrow
-            vals = pref * (p.P[m] @ col)
-            out[c, ls * ls + ls + m] = vals
-            if m > 0:
-                coln = F[:, -m + l_max] * p.wrow
-                out[c, ls * ls + ls - m] = ((-1) ** m) * pref * (p.P[m] @ coln)
+    # longitude, row by row: A[h, :, c] = [sum_col x cos(m phi) | sum_col x
+    # sin(m phi)]; the 2pi/W longitude measure is already in the row weights
+    A = p.CS.T @ f
+    # latitude, one matmul per m: B[m, h] = (Re, -Im) of the row transform
+    B = A.reshape(H, 2, L1, ch).transpose(2, 0, 1, 3).reshape(L1, H, 2 * ch)
+    C = p.Pa @ B
+    cm = C[p.ms, p.ls, :ch] - 1j * C[p.ms, p.ls, ch:]
+    out = np.empty((ch, n_coeffs(l_max)), complex)
+    out[:, p.neg] = p.sign * np.conj(cm).T
+    out[:, p.pos] = cm.T
     return ShCoefficients(out, l_max, real=True)
 
 
 def inverse_sht(c, H):
-    """Synthesis f = sum c_l^m Y_l^m at pixel centers; unclamped real field.
+    """Synthesis f = sum c_l^m Y_l^m at pixel centers; unclamped field.
 
     For real-flagged coefficients the imaginary residue must stay below
-    1e-7 or a SymmetryError is raised; the residue is then discarded.
+    1e-7 or a SymmetryError is raised; the residue is then discarded and
+    the field is real.  Otherwise the complex field is returned.
     """
     if H < 2:
         raise ValueError("H must be >= 2")
     p = _plan(H, c.l_max)
-    l_max = c.l_max
-    pref = 1.0 / np.sqrt(2.0 * np.pi)
-    fields = []
-    for ci in range(c.channels):
-        G = np.zeros((H, 2 * l_max + 1), complex)
-        for m in range(l_max + 1):
-            ls = np.arange(m, l_max + 1)
-            G[:, m + l_max] += c.data[ci, ls * ls + ls + m] @ p.P[m]
-            if m > 0:
-                # Y_l^{-m} = (-1)^m conj(Y_l^m): same Pbar, mirrored phase
-                G[:, -m + l_max] += ((-1) ** m) * (c.data[ci, ls * ls + ls - m] @ p.P[m])
-        f = pref * (G @ p.E.T)
-        if c.real:
-            resid = float(np.abs(f.imag).max())
-            if resid >= 1e-7:
-                raise SymmetryError("imaginary residue %.3e in real-flagged synthesis"
-                                    % resid)
-            f = f.real
-        fields.append(f)
-    out = np.stack(fields, axis=2)
-    return out[:, :, 0] if c.channels == 1 else out
+    L1, ch = c.l_max + 1, c.channels
+    # per m >= 0: a = coefficients of Y^m, b = those of Y^{-m} times (-1)^m,
+    # so that f = sum_m a P e^{im phi} + b P e^{-im phi}
+    # = sum_m (a+b) P cos(m phi) + i (a-b) P sin(m phi)
+    a = np.zeros((L1, L1, ch), complex)
+    b = np.zeros((L1, L1, ch), complex)
+    a[p.ms, p.ls] = c.data[:, p.pos].T
+    b[p.ms, p.ls] = (p.sign * c.data[:, p.neg]).T
+    b[0] = 0.0  # m = 0 is one term, already in a
+    s, d = a + b, a - b
+    # latitude, one matmul per m, on the real columns that feed
+    # Re f = [Re s | -Im d] @ CS.T and Im f = [Im s | Re d] @ CS.T
+    Z = np.concatenate([s.real, -d.imag, s.imag, d.real], axis=2)
+    G = p.Ps.transpose(0, 2, 1) @ Z
+    U = G.reshape(L1, H, 2, 2, ch).transpose(2, 1, 3, 0, 4).reshape(2, H, 2 * L1, ch)
+    # longitude, row by row
+    im = p.CS @ U[1]
+    if c.real:
+        resid = float(np.abs(im, out=im).max())
+        if resid >= 1e-7:
+            raise SymmetryError("imaginary residue %.3e in real-flagged synthesis"
+                                % resid)
+        out = np.matmul(p.CS, U[0], out=im)  # Re f into the spent buffer
+    else:
+        out = p.CS @ U[0] + 1j * im
+    return out[:, :, 0] if ch == 1 else out
 
 
 # ------------------------------------------------------------ spectral utils

@@ -303,14 +303,26 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert cli.main(["extract", "--image", "synth:4",
                      "--side", str(tmp_path / "bad")]) == 1
     assert str(tmp_path / "bad.sig.json") in capsys.readouterr().err
-    # so is a --config file that is not JSON, or not a JSON object
-    for name, text in (("broken.json", "{not json"), ("list.json", "[1, 2]")):
+    # so is a --config file that is not JSON, not a JSON object, or holds
+    # a wrong-typed or unknown field
+    for name, text in (("broken.json", "{not json"), ("list.json", "[1, 2]"),
+                       ("typed.json", '{"k": "abc"}'), ("unknown.json", '{"bogus": 1}')):
         cfg = tmp_path / name
         cfg.write_text(text)
         assert cli.main(["embed", "--cover", "synth:4", "--key", "1",
                          "--payload", PAYLOAD, "--config", str(cfg),
                          "--out", str(tmp_path / "x.ppm")]) == 1
         assert capsys.readouterr().err.startswith("error: %s: " % cfg)
+    # a bad flag override names no file
+    assert cli.main(["embed", "--cover", "synth:4", "--key", "1", "--payload",
+                     PAYLOAD, "--k", "0", "--out", str(tmp_path / "x.ppm")]) == 1
+    assert capsys.readouterr().err.startswith("error: k must be >= 1")
+    # a cover below the sampling minimum H >= 4*l_max is refused
+    assert cli.main(["embed", "--cover", "synth:seed=1,h=32", "--key", "1",
+                     "--payload", PAYLOAD, "--out", str(tmp_path / "x.ppm")]) == 1
+    err = capsys.readouterr().err
+    assert "H=32" in err and "4*l_max=64" in err and "l_max=16" in err
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_exit_code_io_errors(tmp_path):

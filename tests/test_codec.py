@@ -489,6 +489,17 @@ def test_embed_validation_errors():
             np.zeros((3, 289), complex)))             # degenerate directions
 
 
+def test_embed_refuses_height_below_sampling_minimum():
+    # the transform is exact only for H >= 4*l_max; below it a rotated
+    # stego loses payload bits, so embed must refuse
+    for H in (32, 63):
+        with pytest.raises(ValueError, match=r"H=%d .*4\*l_max=64 for l_max=16" % H):
+            embed(harmonics.make_cover(1, H=H), random_payload(0), 1)
+    with pytest.raises(ValueError, match=r"H=32 .*4\*l_max=40 for l_max=10"):
+        embed(harmonics.make_cover(1, H=32), random_payload(0), 1,
+              CodecConfig(l_max=10, L_embed=(6, 8)))
+
+
 def test_embedding_mask_composition():
     cover = harmonics.make_cover(1)
     cfg = CodecConfig(use_geometric_mask=False, use_texture_mask=False)

@@ -123,6 +123,42 @@ def test_sample_bilinear_clamps_poles():
     assert np.allclose(v, 1.0)
 
 
+def _sample_bilinear_fancy_index(x, theta, phi):
+    # the four-fancy-index gather the flat-index take replaced; reference only
+    H, W, ch = grid.check_image(x)
+    f = x if x.ndim == 3 else x[:, :, None]
+    theta = np.asarray(theta, float)
+    phi = np.mod(np.asarray(phi, float), 2.0 * np.pi)
+    r = theta * H / np.pi - 0.5
+    c = phi * W / (2.0 * np.pi) - 0.5
+    r0 = np.floor(r).astype(int)
+    c0 = np.floor(c).astype(int)
+    dr = (r - r0)[..., None]
+    dc = (c - c0)[..., None]
+    r0c = np.clip(r0, 0, H - 1)
+    r1c = np.clip(r0 + 1, 0, H - 1)
+    c0m = np.mod(c0, W)
+    c1m = np.mod(c0 + 1, W)
+    out = (f[r0c, c0m] * (1 - dr) * (1 - dc) + f[r0c, c1m] * (1 - dr) * dc
+           + f[r1c, c0m] * dr * (1 - dc) + f[r1c, c1m] * dr * dc)
+    return out if x.ndim == 3 else out[..., 0]
+
+
+def test_sample_bilinear_matches_fancy_index_form():
+    rng = np.random.default_rng(5)
+    # every latitude including both pole caps (clamped rows), longitudes
+    # past both ends of [0, 2pi) (wrapped columns), plus scattered points
+    theta = np.concatenate([np.linspace(0.0, np.pi, 41), rng.uniform(0, np.pi, 200)])
+    phi = np.concatenate([np.linspace(-0.2, 2 * np.pi + 0.2, 41),
+                          rng.uniform(-7.0, 13.0, 200)])
+    for x in (rng.random((16, 32, 3)), rng.random((16, 32)), rng.random((16, 32, 1))):
+        for t, p in ((theta, phi), (theta[:, None], phi[None, :])):
+            got = grid.sample_bilinear(x, t, p)
+            want = _sample_bilinear_fancy_index(x, t, p)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_resample_identity_and_shapes():
     rng = np.random.default_rng(3)
     x = rng.random((8, 16, 3))

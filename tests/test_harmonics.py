@@ -178,6 +178,77 @@ def test_synthesis_matches_pointwise_sum():
     assert np.abs(ref.real - img).max() < 1e-10
 
 
+def _forward_sht_loop(x, l_max):
+    # the per-channel, per-m quadrature loop the separable transform replaced
+    H = x.shape[0]
+    theta, phi = grid.grid_angles(H)
+    wrow = grid.quadrature_weights(H)
+    tab = harmonics._legendre_table(l_max, np.cos(theta))
+    P = [np.array([tab[(l, m)] for l in range(m, l_max + 1)])
+         for m in range(l_max + 1)]
+    E = np.exp(1j * np.outer(phi, np.arange(-l_max, l_max + 1)))
+    f = x if x.ndim == 3 else x[:, :, None]
+    out = np.zeros((f.shape[2], n_coeffs(l_max)), complex)
+    pref = 1.0 / np.sqrt(2.0 * np.pi)
+    for c in range(f.shape[2]):
+        F = f[:, :, c] @ np.conj(E)
+        for m in range(l_max + 1):
+            ls = np.arange(m, l_max + 1)
+            out[c, ls * ls + ls + m] = pref * (P[m] @ (F[:, m + l_max] * wrow))
+            if m > 0:
+                coln = F[:, -m + l_max] * wrow
+                out[c, ls * ls + ls - m] = ((-1) ** m) * pref * (P[m] @ coln)
+    return out
+
+
+def _inverse_sht_loop(data, l_max, H):
+    # the per-channel, per-m synthesis loop; complex field, (H, W, channels)
+    theta, phi = grid.grid_angles(H)
+    tab = harmonics._legendre_table(l_max, np.cos(theta))
+    P = [np.array([tab[(l, m)] for l in range(m, l_max + 1)])
+         for m in range(l_max + 1)]
+    E = np.exp(1j * np.outer(phi, np.arange(-l_max, l_max + 1)))
+    fields = []
+    for ci in range(data.shape[0]):
+        G = np.zeros((H, 2 * l_max + 1), complex)
+        for m in range(l_max + 1):
+            ls = np.arange(m, l_max + 1)
+            G[:, m + l_max] += data[ci, ls * ls + ls + m] @ P[m]
+            if m > 0:
+                G[:, -m + l_max] += ((-1) ** m) * (data[ci, ls * ls + ls - m] @ P[m])
+        fields.append(G @ E.T / np.sqrt(2.0 * np.pi))
+    return np.stack(fields, axis=2)
+
+
+@pytest.mark.parametrize("H", [16, 64, 256])
+def test_transforms_match_per_m_loops(H):
+    l_max = min(16, H // 4)
+    for x in (make_cover(H, H=H, l_max=l_max), make_cover(H + 1, H=H)[:, :, 1]):
+        c = forward_sht(x, l_max)
+        want = _forward_sht_loop(x, l_max)
+        assert c.real
+        assert np.abs(c.data - want).max() <= 1e-14 * np.abs(want).max()
+        img = inverse_sht(c, H)
+        ref = _inverse_sht_loop(c.data, l_max, H)
+        assert img.shape == x.shape and img.dtype == float
+        ref = ref.real if x.ndim == 3 else ref.real[:, :, 0]
+        assert np.abs(img - ref).max() <= 1e-14 * np.abs(c.data).max()
+
+
+def test_inverse_sht_of_non_real_coefficients_is_complex():
+    rng = np.random.default_rng(4)
+    for ch in (1, 3):
+        data = rng.standard_normal((ch, n_coeffs(6))) + 1j * rng.standard_normal(
+            (ch, n_coeffs(6)))
+        f = inverse_sht(ShCoefficients(data, 6, real=False), 32)
+        ref = _inverse_sht_loop(data, 6, 32)
+        assert np.iscomplexobj(f)
+        assert f.shape == ((32, 64) if ch == 1 else (32, 64, 3))
+        ref = ref if ch == 3 else ref[:, :, 0]
+        assert np.abs(f - ref).max() <= 1e-14 * np.abs(data).max()
+        assert np.abs(f.imag).max() > 1e-3
+
+
 def test_inverse_sht_flags_broken_symmetry():
     c = synth_random_bandlimited(6, seed=1)
     c.data[0, coeff_index(4, 1)] += 0.1      # breaks conjugate symmetry
@@ -258,7 +329,7 @@ def test_random_symmetric_matches_per_m_loop():
 def test_plan_cache_is_read_only_and_bounded():
     p = harmonics._plan(16, 4)
     assert harmonics._plan(16, 4) is p
-    for arr in (p.wrow, p.E) + p.P:
+    for arr in (p.ms, p.ls, p.Ps, p.Pa, p.CS, p.pos, p.neg, p.sign):
         with pytest.raises(ValueError):
             arr[0] = 0
     maxsize = harmonics._plan.cache_info().maxsize
