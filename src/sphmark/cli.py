@@ -64,9 +64,10 @@ def build_config(args):
             try:
                 loaded = json.load(fh)  # a syntax error is a ValueError
                 codec.check_config_fields(loaded)
+                base.update(loaded)
+                codec.CodecConfig(**base)  # the file's values, before the flags
             except ValueError as e:
                 raise ValueError("%s: %s" % (args.config, e))
-        base.update(loaded)
     flag_map = {"l_max": "l_max", "k": "k", "alpha": "alpha",
                 "groups": "groups", "channels": "channels",
                 "mask_floor": "mask_floor"}

@@ -334,19 +334,25 @@ def _context_rows(bank, data):
 
 def _context(bank, data):
     """The part of the features that only the non-embed degrees set: yield
-    (ti, l, groups, W) per triplet ti and keyed slot s, l = t[s], where
-    W[x, p] is the context coupling of group groups[x], pair p, with the
-    keyed leg free (C^{0,0} is symmetric in its legs, so that leg goes
-    first).  Lazy, so one W is alive at a time."""
+    (ti, l, groups, W) per triplet ti and keyed slot s holding groups,
+    l = t[s], where W[x, p] is the context coupling of group groups[x],
+    pair p, with the keyed leg free (C^{0,0} is symmetric in its legs, so
+    that leg goes first).  Every pair couples two of the n_ctx rows, so
+    one GEMM couples all of them and the pairs are gathered from it.
+    Lazy, so one W is alive at a time."""
     rows = _context_rows(bank, data)
     for ti, t in enumerate(bank.trips):
         slots, pairs = bank.roster[t]
         for s in range(3):
             g = np.flatnonzero(slots == s)
+            if not g.size:
+                continue
             o1, o2 = t[:s] + t[s + 1:]
-            yield ti, t[s], g, coupling._contract(
-                (t[s], o1, o2), None, rows[o1][pairs[g, :, 0]],
-                rows[o2][pairs[g, :, 1]])
+            tp = (t[s], o1, o2)
+            M = coupling._projection_table(tp) * coupling._hankel(tp, rows[o2])
+            # W[b, i, a]: row a on leg o1, row b on leg o2
+            W = (M.reshape(-1, M.shape[-1]) @ rows[o1].T).reshape(M.shape[:2] + (-1,))
+            yield ti, t[s], g, W[pairs[g, :, 1], :, pairs[g, :, 0]]
 
 
 def _mix(bank, data):
@@ -356,10 +362,24 @@ def _mix(bank, data):
             for li, l in enumerate(bank.L_embed)}
 
 
-def _pure(bank, Y):
-    """Pure couplings of the group mixes, (..., G, len(trips))."""
-    return np.stack([coupling._contract(t, *(Y[l] for l in t)).real
-                     for t in bank.trips], axis=-1)
+def _pure(bank, data):
+    """Pure couplings of the group mixes of coefficients data (...,
+    channels, n_coeffs): (..., G, len(trips)).  C^{0,0} is trilinear and a
+    group mix is linear in the channels, so the channels are coupled once,
+    (..., ch, ch, ch) per triplet, and each group applies its three mix
+    rows to that."""
+    blk = {l: data[..., l * l:(l + 1) * (l + 1)] for l in bank.L_embed}
+    sw = {l: bank.sw[:, li, :] for li, l in enumerate(bank.L_embed)}
+    out = []
+    for t in bank.trips:
+        l1, l2, l3 = t
+        W = coupling._contract(t, None, blk[l2][..., :, None, :],
+                               blk[l3][..., None, :, :])
+        # K[..., c2, c3, c1]; only its real part reaches a real mix
+        K = (W @ blk[l1][..., None, :, :].swapaxes(-1, -2)).real
+        S = np.einsum("gi,gj,gk->gijk", sw[l2], sw[l3], sw[l1]).reshape(bank.G, -1)
+        out.append(K.reshape(K.shape[:-3] + (-1,)) @ S.T)
+    return np.stack(out, axis=-1)
 
 
 def _placements(bank, Y, Q):
@@ -381,12 +401,16 @@ def _keyed(bank, ctx, Y, pure):
     one group's entries are contiguous, its len(trips) pure couplings (given
     as pure, (..., G, len(trips))), then its context couplings of Y."""
     T = len(bank.trips)
+    lead = pure.shape[:-2]
     out = np.empty(pure.shape[:-1] + (T * (1 + bank.n_pairs),))
     out[..., :T] = pure
     ctxf = out[..., T:].reshape(pure.shape + (bank.n_pairs,))
     for ti, l, g, W in ctx:
-        ctxf[..., g, ti, :] = np.einsum("...xi,xpi->...xp", Y[l][..., g, :], W).real
-    return out.reshape(pure.shape[:-2] + (-1,))
+        # one (rows x 2l+1) @ (2l+1 x n_pairs) product per group
+        Yg = Y[l][..., g, :].reshape((-1, g.size, 2 * l + 1)).swapaxes(0, 1)
+        R = (Yg @ W.swapaxes(-1, -2)).real
+        ctxf[..., g, ti, :] = R.swapaxes(0, 1).reshape(lead + (g.size, -1))
+    return out.reshape(lead + (-1,))
 
 
 def features_from_coeffs(c, cfg=None):
@@ -400,8 +424,7 @@ def features_from_coeffs(c, cfg=None):
     if data.shape[0] != cfg.channels:
         raise ValueError("channel count does not match config")
     bank = _bank(cfg)
-    Y = _mix(bank, data)
-    return _keyed(bank, _context(bank, data), Y, _pure(bank, Y))
+    return _keyed(bank, _context(bank, data), _mix(bank, data), _pure(bank, data))
 
 
 def compute_features(x, cfg=None):
@@ -508,15 +531,16 @@ def make_signature(cover_coeffs, key, cfg, alpha=None):
     bank = _bank(cfg)
     P = generate_patterns(key, cfg)
     a = alpha if alpha is not None else cfg.alpha * coefficient_rms(data, cfg.L_embed)
-    Y, Q = _mix(bank, data), _mix(bank, a * P)
+    aP = a * P
+    Y, Q = _mix(bank, data), _mix(bank, aP)
     # Row 0 is z0 = f(c), row 1 + k is d_k = f(c + aP_k) - f(c - aP_k).
     # The patterns live on the embed degrees only, so every row sees the
     # cover's context, and the context couplings are linear in the keyed
     # mix: their part of d_k is f_ctx(2aP_k).  The pure couplings are
     # trilinear, so theirs is exactly 2 (three first-order placements of
     # Q_k) + 2 f_pure(Q_k), with no difference of near-equal terms.
-    pure = np.concatenate([_pure(bank, Y)[None],
-                           2.0 * (_placements(bank, Y, Q) + _pure(bank, Q))])
+    pure = np.concatenate([_pure(bank, data)[None],
+                           2.0 * (_placements(bank, Y, Q) + _pure(bank, aP))])
     X = {l: np.concatenate([Y[l][None], 2.0 * Q[l]]) for l in Y}
     del Q  # X replaces it: hold the ~1 MB batch once
     f = _keyed(bank, _context(bank, data), X, pure)

@@ -125,20 +125,25 @@ class BispectrumVector:
         return self.values.size
 
 
-def _contract(t, b1, b2, b3):
-    """Trivial-projection contraction of three degree blocks (last axis m,
-    leading axes broadcast; t in any order).  b1=None leaves leg 1 free, the
-    result keeping a last axis of 2*l1+1.  b3 is read at m3 = -m1-m2, index
-    (l1+l2+l3)-i-j: a zero-copy Hankel view of the reversed block, padded
-    with l1+l2-l3 zeros per side for the orders |m3| > l3."""
+def _hankel(t, b3):
+    """b3 read at m3 = -m1-m2 over the grid [m1+l1, m2+l2] (leading axes
+    kept): index (l1+l2+l3)-i-j, a zero-copy Hankel view of the reversed
+    block, padded with l1+l2-l3 zeros per side for the orders |m3| > l3."""
     l1, l2, l3 = t
     n = l1 + l2 - l3
     if n < 0:
         raise ValueError("degrees %r violate the triangle rule l3 <= l1 + l2" % (t,))
     pad = np.zeros(b3.shape[:-1] + (2 * (l1 + l2) + 1,), b3.dtype)
     pad[..., n:n + 2 * l3 + 1] = b3[..., ::-1]
-    H = as_strided(pad, pad.shape[:-1] + (2 * l1 + 1, 2 * l2 + 1),
-                   pad.strides + pad.strides[-1:], writeable=False)
+    return as_strided(pad, pad.shape[:-1] + (2 * l1 + 1, 2 * l2 + 1),
+                      pad.strides + pad.strides[-1:], writeable=False)
+
+
+def _contract(t, b1, b2, b3):
+    """Trivial-projection contraction of three degree blocks (last axis m,
+    leading axes broadcast; t in any order).  b1=None leaves leg 1 free, the
+    result keeping a last axis of 2*l1+1.  b3 is read through _hankel."""
+    H = _hankel(t, b3)
     C = _projection_table(t)
     if b1 is None:
         return np.einsum("ij,...j,...ij->...i", C, b2, H)

@@ -304,9 +304,10 @@ def test_exit_code_usage_errors(tmp_path, capsys):
                      "--side", str(tmp_path / "bad")]) == 1
     assert str(tmp_path / "bad.sig.json") in capsys.readouterr().err
     # so is a --config file that is not JSON, not a JSON object, or holds
-    # a wrong-typed or unknown field
+    # a wrong-typed or unknown field, or a value CodecConfig rejects
     for name, text in (("broken.json", "{not json"), ("list.json", "[1, 2]"),
-                       ("typed.json", '{"k": "abc"}'), ("unknown.json", '{"bogus": 1}')):
+                       ("typed.json", '{"k": "abc"}'), ("unknown.json", '{"bogus": 1}'),
+                       ("k0.json", '{"k": 0}'), ("groups.json", '{"groups": 5}')):
         cfg = tmp_path / name
         cfg.write_text(text)
         assert cli.main(["embed", "--cover", "synth:4", "--key", "1",

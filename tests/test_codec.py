@@ -339,20 +339,24 @@ def _make_signature_loop(data, key, cfg, a):
 
 @pytest.mark.parametrize("groups", [0, 2, 1])
 def test_features_match_three_branch_reference(groups):
-    # groups 2 and 1 leave one and two of the three keyed slots empty
-    cfg = CodecConfig(groups=groups)
-    bank = codec._bank(cfg)
-    for H in (64, 256):
-        c = harmonics.forward_sht(harmonics.make_cover(3, H=H), cfg.l_max).data
-        want = _features_three_branch(bank, c)
-        got = features_from_coeffs(c, cfg)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # groups 2 and 1 leave one and two of the three keyed slots empty; one
+    # channel leaves each group mix a signed copy of the coefficients
+    for channels in (3, 1):
+        cfg = CodecConfig(groups=groups, channels=channels)
+        bank = codec._bank(cfg)
+        for H in (64, 256):
+            c = harmonics.forward_sht(harmonics.make_cover(3, H=H), cfg.l_max).data
+            c = c[:channels]
+            want = _features_three_branch(bank, c)
+            got = features_from_coeffs(c, cfg)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("kw", [dict(), dict(k=8, groups=2)])
+@pytest.mark.parametrize("kw", [dict(), dict(k=8, groups=2),
+                                dict(channels=1, k=8, groups=4)])
 def test_make_signature_matches_finite_difference_loop(kw):
     cfg = CodecConfig(**kw)
-    c = harmonics.forward_sht(harmonics.make_cover(4), cfg.l_max).data
+    c = harmonics.forward_sht(harmonics.make_cover(4), cfg.l_max).data[:cfg.channels]
     z0, d, a = make_signature(c, 321, cfg)
     z0_ref, d_ref = _make_signature_loop(c, 321, cfg, a)
     assert np.abs(z0 - z0_ref).max() <= 1e-12 * np.abs(z0_ref).max()
