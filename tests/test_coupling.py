@@ -350,9 +350,40 @@ def test_contract_batched_and_free_leg_match_per_row_gather():
 
 def test_bispectrum_vector_matches_channel_gather_form():
     trips = admissible_triplets(range(17), 16)
-    c = harmonics.forward_sht(harmonics.make_cover(5), 16)
+    c64 = harmonics.forward_sht(harmonics.make_cover(5), 16)
+    # the robustness scale (H=256) and a 1-channel cover
+    for c in [c64, harmonics.forward_sht(harmonics.make_cover(5, H=256), 16),
+              harmonics.ShCoefficients(c64.data[:1], 16, real=True)]:
+        got = bispectrum_vector(c, trips).values
+        want = np.array([np.einsum("ij,ci,cj,cij->",
+                                   coupling._projection_table(t),
+                                   c.block(t[0]), c.block(t[1]),
+                                   c.block(t[2])[:, _gather(t)]) for t in trips])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_bispectrum_vector_edge_triplets():
+    c = harmonics.forward_sht(harmonics.make_cover(7), 16)
+    with pytest.raises(ValueError, match="triangle"):
+        bispectrum_vector(c, [(1, 1, 3)])
+    with pytest.raises(ValueError, match="degree out of range"):
+        bispectrum_vector(c, [(8, 9, 17)])
+    # odd parity: all of C is 0; the triplet still owns its entries, so it
+    # sums to an exact 0 and does not read its neighbour's segment
+    v = bispectrum_vector(c, [(1, 1, 1), (2, 2, 2)]).values
+    assert v[0] == 0 and v[1] == bispectrum_component(c, (2, 2, 2)) != 0
+    empty = bispectrum_vector(c, [])
+    assert len(empty) == 0 and empty.values.shape == (0,)
+    # legs in any order, as _contract reads them
+    trips = [(14, 6, 8), (8, 14, 6), (6, 8, 14), (16, 2, 14)]
     got = bispectrum_vector(c, trips).values
-    want = np.array([np.einsum("ij,ci,cj,cij->", coupling._projection_table(t),
-                               c.block(t[0]), c.block(t[1]),
-                               c.block(t[2])[:, _gather(t)]) for t in trips])
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    want = np.array([coupling._contract(t, *(c.block(l) for l in t)).sum()
+                     for t in trips])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the plan is read-only and its cache bounded
+    top, chunks = coupling._vector_plan(tuple(trips))
+    assert top == 16 and chunks
+    for _, _, idx, C, starts in chunks:
+        assert idx.dtype == np.int32
+        assert not any(a.flags.writeable for a in (idx, C, starts))
+    assert coupling._vector_plan.cache_info().maxsize is not None
