@@ -7,6 +7,7 @@ generates a deterministic synthetic cover in place of a file path.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -386,6 +387,8 @@ def cmd_ablate(args):
 
 # ------------------------------------------------------------ wiring
 
+# parsing leaves the parser unchanged, so one per process serves every call
+@functools.lru_cache(maxsize=None)
 def build_parser():
     p = _Parser(prog="sphmark",
                 description="rotation-invariant watermarking for "

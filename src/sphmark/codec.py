@@ -164,13 +164,15 @@ def coefficient_rms(data, degrees):
     return math.sqrt(tot / n)
 
 
-def _conj_symmetric_row(rng, l):
-    # 2l+1 real degrees of freedom -> conjugate-symmetric complex block
-    dof = rng.standard_normal(2 * l + 1)
-    bv = np.zeros(2 * l + 1, complex)
-    bv[l] = dof[l]
-    bv[l + 1:] = (dof[l + 1:] + 1j * dof[:l][::-1]) / math.sqrt(2.0)
-    bv[:l] = harmonics.conj_flip(bv)[:l]
+def _conj_symmetric_row(rng, l, lead=()):
+    # 2l+1 real degrees of freedom per row -> conjugate-symmetric complex
+    # blocks of shape lead + (2l+1,); one draw fills the rows in order, so
+    # the stream matches one call per row
+    dof = rng.standard_normal(tuple(lead) + (2 * l + 1,))
+    bv = np.zeros(dof.shape, complex)
+    bv[..., l] = dof[..., l]
+    bv[..., l + 1:] = (dof[..., l + 1:] + 1j * dof[..., :l][..., ::-1]) / math.sqrt(2.0)
+    bv[..., :l] = harmonics.conj_flip(bv)[..., :l]
     return bv
 
 
@@ -179,9 +181,9 @@ def generate_patterns(key, cfg=None):
 
     Supported only on the embed degrees, conjugate-symmetric per channel,
     and orthonormal as a set: every per-degree sub-block family is made
-    orthogonal across bits by modified Gram-Schmidt, then degrees are
-    weighted equally.  Raises if k exceeds what that construction can
-    keep independent.
+    orthogonal across bits, in bit order, by a thin QR (the Gram-Schmidt
+    factor), then degrees are weighted equally.  Raises if k exceeds what
+    that construction can keep independent.
     """
     cfg = cfg or CodecConfig()
     key = check_key(key)
@@ -202,21 +204,17 @@ def _patterns(key, L_embed, l_max, k, n_groups, channels):
     P = np.zeros((k, channels, harmonics.n_coeffs(l_max)), complex)
     nL = len(L_embed)
     for li, l in enumerate(L_embed):
-        V = np.zeros((k, channels, 2 * l + 1), complex)
-        for kk in range(k):
-            bv = _conj_symmetric_row(rng, l)
-            prof = sw[kk % n_groups, li, :]
-            V[kk] = prof[:, None] * bv[None, :]
-        Vf = V.reshape(k, -1)
-        for i in range(k):
-            for j in range(i):
-                Vf[i] -= np.vdot(Vf[j], Vf[i]) * Vf[j]
-            nrm = np.linalg.norm(Vf[i])
-            if nrm < 1e-12:
-                raise ValueError("pattern construction degenerated; reduce k")
-            Vf[i] /= nrm
-        blk = Vf.reshape(k, channels, 2 * l + 1) / math.sqrt(nL)
-        P[:, :, l * l:(l + 1) * (l + 1)] = blk
+        bv = _conj_symmetric_row(rng, l, (k,))
+        V = sw[np.arange(k) % n_groups, li, :, None] * bv[:, None, :]
+        # modified Gram-Schmidt over the bits in order is the Q factor of a
+        # thin QR with a positive diagonal; LAPACK's R diagonal is real, so
+        # its sign fixes each column's phase
+        Q, R = np.linalg.qr(V.reshape(k, -1).T)
+        r = R.diagonal()
+        if (np.abs(r) < 1e-12).any():
+            raise ValueError("pattern construction degenerated; reduce k")
+        blk = (Q * (r / np.abs(r))).T.reshape(k, channels, 2 * l + 1)
+        P[:, :, l * l:(l + 1) * (l + 1)] = blk / math.sqrt(nL)
     P.setflags(write=False)
     return P
 
@@ -231,7 +229,8 @@ def _patterns(key, L_embed, l_max, k, n_groups, channels):
 
 class _FeatureBank:
     __slots__ = ("L_embed", "l_max", "channels", "G", "n_ctx", "n_pairs",
-                 "trips", "sw", "ctx_pairs", "ctx_weights", "roster", "n_features")
+                 "trips", "sw", "ctx_pairs", "ctx_weights", "ctx_plan", "roster",
+                 "n_features")
 
     def __init__(self, L_embed, l_max, channels, G, n_ctx, n_pairs):
         self.L_embed = L_embed
@@ -266,6 +265,42 @@ class _FeatureBank:
             wch.setflags(write=False)
             self.ctx_pairs[l] = [ps[s] for s in sel]
             self.ctx_weights[l] = wch
+        self._build_rows_plan()
+
+    def _build_rows_plan(self):
+        # Flat plan of _context_rows.  Row r is one (embed degree l, pair
+        # (la, lb)); idx[r, leg] holds the flat coefficient indices of its
+        # two legs' blocks, padded to a common width w (padding reads
+        # coefficient 0 and no entry uses it).  Every (r, m1, m2) with
+        # |m1+m2| <= l is an entry: its two flat positions in the (R, 2, w)
+        # table of channel mixes and its CG value, sorted by (r, m1+m2), so
+        # each (r, m) segment sums to one output coefficient.  Zero CG
+        # values are kept: l <= la+lb leaves no segment empty, as
+        # np.add.reduceat needs.
+        pairs = [(l, la, lb) for l in self.L_embed for la, lb in self.ctx_pairs[l]]
+        w = 2 * max(max(la, lb) for _, la, lb in pairs) + 1
+        idx = np.zeros((len(pairs), 2, w), np.int32)
+        legs, cg, seg, n = [], [], [], 0
+        for r, (l, la, lb) in enumerate(pairs):
+            idx[r, 0, :2 * la + 1] = np.arange(la * la, (la + 1) ** 2)
+            idx[r, 1, :2 * lb + 1] = np.arange(lb * lb, (lb + 1) ** 2)
+            m = np.add.outer(np.arange(-la, la + 1), np.arange(-lb, lb + 1))
+            i, j = np.nonzero(np.abs(m) <= l)
+            o = np.argsort(m[i, j], kind="stable")
+            i, j = i[o], j[o]
+            m = m[i, j]
+            legs.append(np.stack([2 * r * w + i, (2 * r + 1) * w + j]))
+            cg.append(_cg_tensor(la, lb, l)[i, j, m + l])
+            seg.append(n + m + l)
+            n += 2 * l + 1
+        plan = (idx,
+                np.concatenate([self.ctx_weights[l] for l in self.L_embed]),
+                np.concatenate(legs, axis=1).astype(np.int32),
+                np.concatenate(cg),
+                np.searchsorted(np.concatenate(seg), np.arange(n)))
+        for a in plan:
+            a.setflags(write=False)
+        self.ctx_plan = plan
 
     def _build_roster(self):
         rng = np.random.default_rng(
@@ -318,17 +353,20 @@ def feature_length(cfg=None):
 
 def _context_rows(bank, data):
     """Per embed degree l, n_ctx unit rows: the (la x lb -> l) coupling of
-    channel mixes of two non-embed degree blocks."""
-    ctx = {}
+    channel mixes of two non-embed degree blocks, from the bank's flat
+    plan: mix every row's two legs, multiply the entries' legs and CG
+    values, and sum each (row, m) segment."""
+    idx, wch, legs, cg, starts = bank.ctx_plan
+    X = np.einsum("rxc,crxi->rxi", wch, data[:, idx]).ravel()
+    p = X.take(legs[0])
+    p *= X.take(legs[1])
+    p *= cg
+    out = np.add.reduceat(p, starts)
+    ctx, lo = {}, 0
     for l in bank.L_embed:
-        rows = np.empty((bank.n_ctx, 2 * l + 1), complex)
-        wch = bank.ctx_weights[l]
-        for a, (la, lb) in enumerate(bank.ctx_pairs[l]):
-            u = wch[a, 0] @ data[:, la * la:(la + 1) * (la + 1)]
-            v = wch[a, 1] @ data[:, lb * lb:(lb + 1) * (lb + 1)]
-            out = v @ np.tensordot(u, _cg_tensor(la, lb, l), 1)
-            rows[a] = out / (np.linalg.norm(out) + 1e-30)
-        ctx[l] = rows
+        rows = out[lo:lo + bank.n_ctx * (2 * l + 1)].reshape(bank.n_ctx, -1)
+        lo += rows.size
+        ctx[l] = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + 1e-30)
     return ctx
 
 
@@ -591,8 +629,15 @@ def embed(cover, payload_bits, key, cfg=None):
     if c.channels != cfg.channels:
         raise ValueError("image has %d channel(s), config wants %d"
                          % (c.channels, cfg.channels))
+    rms = coefficient_rms(c.data, cfg.L_embed)
+    if rms < 1e-9:
+        # the strength scales with this RMS: a zero one (a flat cover, or
+        # one with only odd degrees) would write a stego with no payload
+        raise ValueError("cover has no energy on the embed degrees %s (RMS "
+                         "%.3g); nothing to scale the payload to"
+                         % (", ".join(map(str, cfg.L_embed)), rms))
     P = generate_patterns(key, cfg)
-    a = cfg.alpha * coefficient_rms(c.data, cfg.L_embed)
+    a = cfg.alpha * rms
     target = a * np.einsum("k,kcn->cn", 2.0 * bits - 1.0, P)
     M = embedding_mask(x, cfg)
     Mb = M if x.ndim == 2 else M[..., None]

@@ -133,6 +133,53 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert outs["a"] == outs["b"]
 
 
+def test_parser_reuse_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
+    # the second embed drops the first one's --alpha: a value left behind
+    # in the shared parser would show in its report
+    seq = [(["embed", "--cover", "synth:seed=5", "--key", KEY, "--payload",
+             PAYLOAD, "--alpha", "0.2", "--out", "a.ppm", "--report", "a.json"],
+            "a.json"),
+           (["extract", "--image", "a.ppm", "--side", "a", "--report", "x.json"],
+            "x.json"),
+           (["extract", "--image", "a.ppm", "--bogus"], None),
+           (["embed", "--cover", "synth:seed=6", "--key", "7", "--payload",
+             PAYLOAD, "--out", "b.ppm", "--report", "b.json"], "b.json")]
+    runs = {}
+    for mode in ("fresh", "reused"):
+        d = tmp_path / mode
+        d.mkdir()
+        monkeypatch.chdir(d)
+        runs[mode] = []
+        for argv, report in seq:
+            if mode == "fresh":
+                cli.build_parser.cache_clear()
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            runs[mode].append((rc, (d / report).read_bytes() if report else err))
+    assert [r[0] for r in runs["reused"]] == [0, 0, 1, 0]
+    assert runs["reused"] == runs["fresh"]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_embed_refuses_cover_without_embed_degree_energy(tmp_path, capsys):
+    # a flat cover, and a latitude ramp odd about the equator (only odd
+    # degrees besides the mean), carry nothing on degrees 6, 8 and 14
+    H = 64
+    ramp = (64 + 2 * np.arange(H)) / 255.0     # row r + row H-1-r = 254/255
+    for name, img in (("flat", np.full((H, 2 * H, 3), 0.5)),
+                      ("ramp", np.repeat(ramp[:, None, None], 2 * H, 1)
+                       * np.ones(3))):
+        cover = tmp_path / (name + ".ppm")
+        grid.write_ppm(str(cover), img)
+        out = tmp_path / (name + "-stego.ppm")
+        assert cli.main(["embed", "--cover", str(cover), "--key", "1",
+                         "--payload", PAYLOAD, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "no energy on the embed degrees 6, 8, 14" in err
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if p.name.startswith(name + "-stego")) == []
+
+
 def test_load_image_synth_forms():
     ref = harmonics.make_cover(7)
     assert np.array_equal(cli.load_image("synth:7"), ref)

@@ -207,6 +207,51 @@ def test_coupling_tensors_match_per_entry_loops():
         S[0, 0, 0] = 1.0
 
 
+def _patterns_gram_schmidt_loop(key, cfg):
+    # one draw per bit, then modified Gram-Schmidt with k^2 vdot steps per
+    # embed degree: the loop the one QR per degree replaced; reference only
+    sw = codec._slice_profiles(cfg.n_groups, len(cfg.L_embed), cfg.channels)
+    rng = np.random.default_rng(np.random.SeedSequence([key, 0xA11CE]))
+    P = np.zeros((cfg.k, cfg.channels, harmonics.n_coeffs(cfg.l_max)), complex)
+    for li, l in enumerate(cfg.L_embed):
+        V = np.zeros((cfg.k, cfg.channels, 2 * l + 1), complex)
+        for kk in range(cfg.k):
+            V[kk] = (sw[kk % cfg.n_groups, li, :, None]
+                     * codec._conj_symmetric_row(rng, l)[None, :])
+        Vf = V.reshape(cfg.k, -1)
+        for i in range(cfg.k):
+            for j in range(i):
+                Vf[i] -= np.vdot(Vf[j], Vf[i]) * Vf[j]
+            Vf[i] /= np.linalg.norm(Vf[i])
+        P[:, :, l * l:(l + 1) * (l + 1)] = (Vf.reshape(V.shape)
+                                            / math.sqrt(len(cfg.L_embed)))
+    return P
+
+
+def test_patterns_match_gram_schmidt_loop():
+    for kw in (dict(), dict(k=8, groups=2)):
+        cfg = CodecConfig(**kw)
+        for key in list(range(20)) + [2 ** 64 - 1]:
+            want = _patterns_gram_schmidt_loop(key, cfg)
+            got = generate_patterns(key, cfg)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # orthonormal to rounding, also at full capacity, where the loop itself
+    # drifts (one channel, k=13: 6e-14 off orthonormal)
+    for kw in (dict(), dict(k=8, groups=2), dict(k=39, groups=39),
+               dict(channels=1, k=13)):
+        cfg = CodecConfig(**kw)
+        for key in (1, 7, 2 ** 63):
+            F = generate_patterns(key, cfg).reshape(cfg.k, -1)
+            assert np.abs(F @ F.conj().T - np.eye(cfg.k)).max() <= 1e-14
+    # one batched draw is the k sequential rows, stream position included
+    for l in (0, 1, 6, 14):
+        rng_a, rng_b = np.random.default_rng(l), np.random.default_rng(l)
+        got = codec._conj_symmetric_row(rng_a, l, (5,))
+        want = np.stack([codec._conj_symmetric_row(rng_b, l) for _ in range(5)])
+        assert np.array_equal(got, want)
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
 def test_patterns_capacity_limit():
     # 3 channels on min degree 6 support at most 39 orthogonal bits
     with pytest.raises(ValueError, match="39"):
@@ -281,6 +326,43 @@ def _context_rows_loop(bank, data):
             rows[a] = out / (np.linalg.norm(out) + 1e-30)
         ctx[l] = rows
     return ctx
+
+
+def _context_rows_per_pair_loop(bank, data):
+    # one tensordot per (embed degree, pair) against the dense CG tensor:
+    # the loop the flat plan replaced; reference only
+    ctx = {}
+    for l in bank.L_embed:
+        rows = np.empty((bank.n_ctx, 2 * l + 1), complex)
+        wch = bank.ctx_weights[l]
+        for a, (la, lb) in enumerate(bank.ctx_pairs[l]):
+            u = wch[a, 0] @ data[:, la * la:(la + 1) * (la + 1)]
+            v = wch[a, 1] @ data[:, lb * lb:(lb + 1) * (lb + 1)]
+            out = v @ np.tensordot(u, codec._cg_tensor(la, lb, l), 1)
+            rows[a] = out / (np.linalg.norm(out) + 1e-30)
+        ctx[l] = rows
+    return ctx
+
+
+def test_context_rows_match_per_pair_loop():
+    for kw in (dict(), dict(channels=1, k=8, groups=4)):
+        cfg = CodecConfig(**kw)
+        bank = codec._bank(cfg)
+        plan = bank.ctx_plan
+        for H in (64, 256):
+            c = harmonics.forward_sht(harmonics.make_cover(3, H=H), cfg.l_max).data
+            c = c[:cfg.channels]
+            got = codec._context_rows(bank, c)
+            want = _context_rows_per_pair_loop(bank, c)
+            assert sorted(got) == sorted(want)
+            for l in want:
+                assert got[l].shape == want[l].shape
+                assert np.abs(got[l] - want[l]).max() <= 1e-15 * np.abs(want[l]).max()
+        # one read-only plan per bank, built with it
+        assert codec._bank(cfg) is bank and bank.ctx_plan is plan
+        for arr in plan:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
 
 
 def _features_three_branch(bank, data):
