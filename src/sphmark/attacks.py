@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import scipy.fft
+import scipy.ndimage
 
 from . import grid, harmonics, so3
 
@@ -49,27 +50,20 @@ def attack_blur_spatial(x, sigma=3.0, size=7):
     x = np.asarray(x, float)
     grid.check_image(x)
     k = gaussian_kernel(int(size), float(sigma))
-    r = (len(k) - 1) // 2
-    # longitude: periodic
-    out = np.zeros_like(x)
-    for j, kv in enumerate(k):
-        out += kv * np.roll(x, j - r, axis=1)
-    # latitude: clamp rows at the poles
-    H = x.shape[0]
-    idx = np.clip(np.arange(-r, H + r), 0, H - 1)
-    padded = out[idx]
-    out2 = np.zeros_like(x)
-    for j, kv in enumerate(k):
-        out2 += kv * padded[j:j + H]
-    return out2
+    out = scipy.ndimage.correlate1d(x, k, axis=1, mode="wrap")
+    # rows are filtered line by line from a buffer, so in place is safe
+    return scipy.ndimage.correlate1d(out, k, axis=0, mode="nearest",
+                                     output=out)
 
 
 def attack_noise(x, std=0.05, seed=0):
     x = np.asarray(x, float)
     if std < 0:
         raise ValueError("std must be >= 0")
-    rng = np.random.default_rng(seed)
-    return np.clip(x + std * rng.standard_normal(x.shape), 0.0, 1.0)
+    out = np.random.default_rng(seed).standard_normal(x.shape)
+    out *= std
+    out += x
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def attack_lowpass(x, l_c, l_max=16):
@@ -91,13 +85,15 @@ def attack_resize(x, scale=0.5):
         raise ValueError("scale leaves fewer than 2 rows")
     if Hd == H:
         return x.copy()
-    return np.clip(grid.resample(grid.resample(x, Hd), H), 0.0, 1.0)
+    out = grid.resample(grid.resample(x, Hd), H)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def attack_brightness(x, factor=1.1):
     if factor < 0:
         raise ValueError("factor must be >= 0")
-    return np.clip(np.asarray(x, float) * factor, 0.0, 1.0)
+    out = np.asarray(x, float) * factor
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def attack_contrast(x, factor=1.2):
@@ -106,12 +102,15 @@ def attack_contrast(x, factor=1.2):
     H, W, ch = grid.check_image(x)
     if factor < 0:
         raise ValueError("factor must be >= 0")
-    w = grid.quadrature_weights(H)[:, None]
+    w = grid.quadrature_weights(H)[:, None, None]
     f = x if x.ndim == 3 else x[:, :, None]
-    mean = (w[..., None] * f).sum(axis=(0, 1)) / (4.0 * np.pi)
-    out = mean + (f - mean) * factor
-    out = out[:, :, 0] if x.ndim == 2 else out
-    return np.clip(out, 0.0, 1.0)
+    out = w * f                 # the weighted samples, then the result
+    mean = out.sum(axis=(0, 1)) / (4.0 * np.pi)
+    np.subtract(f, mean, out=out)
+    out *= factor
+    out += mean
+    np.clip(out, 0.0, 1.0, out=out)
+    return out[:, :, 0] if x.ndim == 2 else out
 
 
 # standard luminance quantization table, in zig-zag-free row order

@@ -562,13 +562,26 @@ def _strip_sig_suffix(base):
     return base
 
 
+def _embed_strength(data, cfg):
+    """Payload strength alpha * (cover RMS on the embed degrees).
+
+    A zero RMS (a flat cover, or one with only odd degrees) would give a
+    zero strength and so a stego with no payload: ValueError instead."""
+    rms = coefficient_rms(data, cfg.L_embed)
+    if rms < 1e-9:
+        raise ValueError("cover has no energy on the embed degrees %s (RMS "
+                         "%.3g); nothing to scale the payload to"
+                         % (", ".join(map(str, cfg.L_embed)), rms))
+    return cfg.alpha * rms
+
+
 def make_signature(cover_coeffs, key, cfg, alpha=None):
     """Signature for given cover coefficients under a candidate key."""
     cfg = cfg or CodecConfig()
     data = np.atleast_2d(np.asarray(cover_coeffs, complex))
     bank = _bank(cfg)
     P = generate_patterns(key, cfg)
-    a = alpha if alpha is not None else cfg.alpha * coefficient_rms(data, cfg.L_embed)
+    a = alpha if alpha is not None else _embed_strength(data, cfg)
     aP = a * P
     Y, Q = _mix(bank, data), _mix(bank, aP)
     # Row 0 is z0 = f(c), row 1 + k is d_k = f(c + aP_k) - f(c - aP_k).
@@ -629,15 +642,8 @@ def embed(cover, payload_bits, key, cfg=None):
     if c.channels != cfg.channels:
         raise ValueError("image has %d channel(s), config wants %d"
                          % (c.channels, cfg.channels))
-    rms = coefficient_rms(c.data, cfg.L_embed)
-    if rms < 1e-9:
-        # the strength scales with this RMS: a zero one (a flat cover, or
-        # one with only odd degrees) would write a stego with no payload
-        raise ValueError("cover has no energy on the embed degrees %s (RMS "
-                         "%.3g); nothing to scale the payload to"
-                         % (", ".join(map(str, cfg.L_embed)), rms))
+    a = _embed_strength(c.data, cfg)
     P = generate_patterns(key, cfg)
-    a = cfg.alpha * rms
     target = a * np.einsum("k,kcn->cn", 2.0 * bits - 1.0, P)
     M = embedding_mask(x, cfg)
     Mb = M if x.ndim == 2 else M[..., None]
@@ -679,7 +685,7 @@ def embed_coefficients(c, payload_bits, key, cfg=None):
     wrap = isinstance(c, harmonics.ShCoefficients)
     data = c.data if wrap else np.atleast_2d(np.asarray(c, complex))
     P = generate_patterns(key, cfg)
-    a = cfg.alpha * coefficient_rms(data, cfg.L_embed)
+    a = _embed_strength(data, cfg)
     out = data + a * np.einsum("k,kcn->cn", 2.0 * bits - 1.0, P)
     if wrap:
         return harmonics.ShCoefficients(out, cfg.l_max, real=c.real)

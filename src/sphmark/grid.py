@@ -6,6 +6,8 @@ shape (H, 2H) or (H, 2H, 3) with float samples in [0, 1]; row 0 is the
 north-pole row, theta grows downward, phi grows with the column index.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -51,11 +53,12 @@ def grid_angles(H):
     return theta, phi
 
 
-def grid_directions(H):
-    """Unit vectors (H, 2H, 3) of all pixel centers; z is the polar axis."""
+def grid_directions(H, rows=slice(None)):
+    """Unit vectors (H, 2H, 3) of all pixel centers, or of the row slice
+    ``rows``; z is the polar axis."""
     theta, phi = grid_angles(H)
-    st, ct = np.sin(theta), np.cos(theta)
-    d = np.empty((H, 2 * H, 3))
+    st, ct = np.sin(theta[rows]), np.cos(theta[rows])
+    d = np.empty((len(st), 2 * H, 3))
     d[:, :, 0] = st[:, None] * np.cos(phi)[None, :]
     d[:, :, 1] = st[:, None] * np.sin(phi)[None, :]
     d[:, :, 2] = ct[:, None]
@@ -109,33 +112,78 @@ def texture_mask(x, strength_floor=0.25, tau=0.08):
     return strength_floor + (1.0 - strength_floor) * s
 
 
-def sample_bilinear(x, theta, phi):
-    """Sample an ERP image at arbitrary directions.
+# sample points per block of the pixel kernels: each block's temporaries
+# (~200 kB for 3 channels) stay in cache and are reused, where whole-raster
+# temporaries cost a fresh page fault per 4 kB
+BLOCK_POINTS = 8192
 
-    Fractional pixel coordinates from the inverse of
-    pixel_center_direction; columns wrap modulo W, rows clamp at the
-    first/last row centers (no cross-pole interpolation).
-    """
-    H, W, ch = check_image(x)
-    f = x if x.ndim == 3 else x[:, :, None]
-    theta = np.asarray(theta, float)
-    phi = np.mod(np.asarray(phi, float), 2.0 * np.pi)
+
+def row_blocks(n_rows, row_points):
+    """Slices of consecutive rows that hold about BLOCK_POINTS points each."""
+    step = max(1, BLOCK_POINTS // max(1, row_points))
+    for i in range(0, n_rows, step):
+        yield slice(i, min(i + step, n_rows))
+
+
+def _sample_into(out, flat, H, W, theta, phi):
+    """Bilinear samples of the (H*W, ch) pixel view at finite angles, written
+    to out (broadcast shape of theta and phi, plus ch)."""
+    if phi.size and -2.0 * np.pi <= phi.min() and phi.max() < 2.0 * np.pi:
+        # np.mod(phi, 2pi) bit for bit on this range, where fmod returns
+        # phi unchanged, without fmod's ~20 ns per point
+        phi = np.where(phi < 0, phi + 2.0 * np.pi, phi)
+    else:
+        phi = np.mod(phi, 2.0 * np.pi)
     r = theta * H / np.pi - 0.5
     c = phi * W / (2.0 * np.pi) - 0.5
     r0 = np.floor(r).astype(int)
     c0 = np.floor(c).astype(int)
-    dr = (r - r0)[..., None]
-    dc = (c - c0)[..., None]
+    dr = r - r0
+    dc = c - c0
     r0c = np.clip(r0, 0, H - 1) * W
     r1c = np.clip(r0 + 1, 0, H - 1) * W
     c0m = np.mod(c0, W)
     c1m = np.mod(c0 + 1, W)
-    # gather whole pixels by flat index r*W + c from the (H*W, ch) view
-    flat = f.reshape(H * W, ch)
-    out = (flat.take(r0c + c0m, 0) * (1 - dr) * (1 - dc)
-           + flat.take(r0c + c1m, 0) * (1 - dr) * dc
-           + flat.take(r1c + c0m, 0) * dr * (1 - dc)
-           + flat.take(r1c + c1m, 0) * dr * dc)
+    # gather whole pixels by flat index r*W + c from the (H*W, ch) view,
+    # then the corner sum one channel at a time: a (..., ch) * (..., 1)
+    # broadcast runs numpy's inner loop over only ch elements
+    p00, p01 = flat.take(r0c + c0m, 0), flat.take(r0c + c1m, 0)
+    p10, p11 = flat.take(r1c + c0m, 0), flat.take(r1c + c1m, 0)
+    er, ec = 1 - dr, 1 - dc
+    for k in range(flat.shape[1]):
+        out[..., k] = (p00[..., k] * er * ec + p01[..., k] * er * dc
+                       + p10[..., k] * dr * ec + p11[..., k] * dr * dc)
+
+
+def sample_bilinear(x, theta, phi):
+    """Sample an ERP image at arbitrary directions.
+
+    theta and phi broadcast against each other.  Fractional pixel
+    coordinates from the inverse of pixel_center_direction; columns wrap
+    modulo W, rows clamp at the first/last row centers (no cross-pole
+    interpolation).  Non-finite angles raise ValueError.
+    """
+    H, W, ch = check_image(x)
+    x = np.asarray(x)
+    theta = np.asarray(theta, float)
+    phi = np.asarray(phi, float)
+    for name, a in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(a).all():
+            raise ValueError("%s contains non-finite angles" % name)
+    flat = x.reshape(H * W, ch)
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    out = np.empty(shape + (ch,), np.result_type(flat, float))
+    if not shape:
+        _sample_into(out, flat, H, W, theta, phi)
+    else:
+        # same rank for both, then blocks along the leading axis; an
+        # axis of length 1 stays whole, so a separable grid stays O(H+W)
+        theta = theta.reshape((1,) * (len(shape) - theta.ndim) + theta.shape)
+        phi = phi.reshape((1,) * (len(shape) - phi.ndim) + phi.shape)
+        for s in row_blocks(shape[0], math.prod(shape[1:])):
+            _sample_into(out[s], flat, H, W,
+                         theta[s] if len(theta) > 1 else theta,
+                         phi[s] if len(phi) > 1 else phi)
     return out if x.ndim == 3 else out[..., 0]
 
 
@@ -144,8 +192,7 @@ def resample(x, H_out):
     if H_out < 1:
         raise ValueError("H_out must be >= 1")
     theta, phi = grid_angles(H_out)
-    return sample_bilinear(x, theta[:, None] * np.ones(2 * H_out)[None, :],
-                           np.ones(H_out)[:, None] * phi[None, :])
+    return sample_bilinear(x, theta[:, None], phi[None, :])
 
 
 # ---------------------------------------------------------------- PPM I/O

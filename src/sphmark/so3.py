@@ -163,9 +163,19 @@ def rotate_coeffs(c, R):
 
 
 def rotate_image(x, R):
-    """Pullback resampling: each output pixel samples x at R^{-1} omega."""
+    """Pullback resampling: each output pixel samples x at R^{-1} omega.
+
+    Runs in blocks of grid.BLOCK_POINTS pixels into one output array."""
     H, W, ch = grid.check_image(x)
-    d = grid.grid_directions(H) @ R.matrix  # row-vector form of R^T omega
-    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
-    return grid.sample_bilinear(x, theta, phi)
+    x = np.asarray(x)
+    flat = x.reshape(H * W, ch)
+    M = R.matrix
+    out = np.empty((H, W, ch), np.result_type(flat, float))
+    for rows in grid.row_blocks(H, W):
+        d = grid.grid_directions(H, rows) @ M  # row-vector form of R^T omega
+        theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
+        # the sampler wraps phi; wrapping it here too would change only a
+        # phi that wraps to exactly 2pi, which samples as 0 does
+        phi = np.arctan2(d[..., 1], d[..., 0])
+        grid._sample_into(out[rows], flat, H, W, theta, phi)
+    return out if x.ndim == 3 else out[..., 0]

@@ -117,3 +117,26 @@ def triple_product_integral(t, c1, c2, c3, n_theta=64, n_phi=129):
 
     f = synth(l1, c1) * synth(l2, c2) * synth(l3, c3)
     return complex(np.sum(w[:, None] * f) * (2 * np.pi / n_phi))
+
+
+def sample_bilinear_fancy_index(x, theta, phi):
+    """ERP bilinear sampling by four fancy-index gathers on the whole
+    broadcast grid at once: the unblocked form of grid.sample_bilinear."""
+    x = np.asarray(x)
+    H, W = x.shape[:2]
+    f = x if x.ndim == 3 else x[:, :, None]
+    theta = np.asarray(theta, float)
+    phi = np.mod(np.asarray(phi, float), 2.0 * np.pi)
+    r = theta * H / np.pi - 0.5
+    c = phi * W / (2.0 * np.pi) - 0.5
+    r0 = np.floor(r).astype(int)
+    c0 = np.floor(c).astype(int)
+    dr = (r - r0)[..., None]
+    dc = (c - c0)[..., None]
+    r0c = np.clip(r0, 0, H - 1)
+    r1c = np.clip(r0 + 1, 0, H - 1)
+    c0m = np.mod(c0, W)
+    c1m = np.mod(c0 + 1, W)
+    out = (f[r0c, c0m] * (1 - dr) * (1 - dc) + f[r0c, c1m] * (1 - dr) * dc
+           + f[r1c, c0m] * dr * (1 - dc) + f[r1c, c1m] * dr * dc)
+    return out if x.ndim == 3 else out[..., 0]

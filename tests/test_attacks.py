@@ -73,6 +73,51 @@ def test_blur_spatial_wraps_longitude_clamps_latitude():
     assert y2[0, 8] > y2[2, 8] > 0
 
 
+def _blur_spatial_roll_loop(x, sigma, size):
+    # the np.roll / clamped-pad accumulation correlate1d replaced; reference only
+    k = gaussian_kernel(size, sigma)
+    r = (len(k) - 1) // 2
+    out = np.zeros_like(x)
+    for j, kv in enumerate(k):
+        out += kv * np.roll(x, j - r, axis=1)
+    H = x.shape[0]
+    padded = out[np.clip(np.arange(-r, H + r), 0, H - 1)]
+    out2 = np.zeros_like(x)
+    for j, kv in enumerate(k):
+        out2 += kv * padded[j:j + H]
+    return out2
+
+
+@pytest.mark.parametrize("H, sigma, size", [(64, 3.0, 7), (16, 2.0, 5),
+                                            (4, 2.0, 9), (4, 5.0, 17)])
+def test_blur_spatial_matches_roll_loop(H, sigma, size):
+    # the kernel radius reaches H (and 2H) in the small cases
+    rng = np.random.default_rng(H + size)
+    x = rng.random((H, 2 * H, 3))
+    for img in (x, x[:, :, 0], x[:, :, :1]):
+        got = attack_blur_spatial(img, sigma=sigma, size=size)
+        want = _blur_spatial_roll_loop(img, sigma, size)
+        assert got.shape == img.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_noise_and_contrast_match_one_pass_forms(cover):
+    for img in (cover, cover[:, :, 0], cover[:, :, :1]):
+        for std, seed in ((0.05, 3), (0.5, 4), (0, 0)):
+            want = np.clip(img + std * np.random.default_rng(seed)
+                           .standard_normal(img.shape), 0.0, 1.0)
+            assert np.array_equal(attack_noise(img, std=std, seed=seed), want)
+        w = grid.quadrature_weights(img.shape[0])[:, None]
+        f = img if img.ndim == 3 else img[:, :, None]
+        mean = (w[..., None] * f).sum(axis=(0, 1)) / (4.0 * np.pi)
+        for factor in (1.2, 0.5, 3):
+            want = mean + (f - mean) * factor
+            want = np.clip(want[:, :, 0] if img.ndim == 2 else want, 0.0, 1.0)
+            got = attack_contrast(img, factor=factor)
+            assert got.shape == img.shape
+            assert np.array_equal(got, want)
+
+
 def test_noise_statistics_and_determinism(cover):
     flat = np.full((64, 128, 3), 0.5)
     y = attack_noise(flat, std=0.05, seed=1)

@@ -108,6 +108,26 @@ def test_coefficient_rms_hand_value():
     assert coefficient_rms(data, [2]) == 0.0
 
 
+@pytest.mark.parametrize("path", ["make_signature", "embed_coefficients",
+                                  "embed"])
+def test_zero_energy_cover_refused_by_every_strength_path(path):
+    # only degree 0 set: the strength alpha * RMS on the embed degrees is 0
+    cfg = CodecConfig()
+    c = np.zeros((3, harmonics.n_coeffs(cfg.l_max)), complex)
+    c[:, 0] = 1.0
+    bits = random_payload(1)
+    calls = {
+        "make_signature": lambda: make_signature(c, 5, cfg),
+        "embed_coefficients": lambda: embed_coefficients(c, bits, 5, cfg),
+        "embed": lambda: embed(harmonics.inverse_sht(
+            harmonics.ShCoefficients(c, cfg.l_max, real=True), 64), bits, 5, cfg),
+    }
+    with pytest.raises(ValueError, match="no energy on the embed degrees 6, 8, 14"):
+        calls[path]()
+    # an explicit strength still derives directions
+    assert make_signature(c, 5, cfg, alpha=0.01)[2] == 0.01
+
+
 # ------------------------------------------------------------ pattern bank
 
 def test_patterns_shape_orthonormality_symmetry():

@@ -5,6 +5,8 @@ import pytest
 
 from sphmark import grid
 
+from oracles import sample_bilinear_fancy_index
+
 
 def test_pixel_center_direction_known_values():
     theta, phi = grid.pixel_center_direction(0, 0, 2)
@@ -123,27 +125,6 @@ def test_sample_bilinear_clamps_poles():
     assert np.allclose(v, 1.0)
 
 
-def _sample_bilinear_fancy_index(x, theta, phi):
-    # the four-fancy-index gather the flat-index take replaced; reference only
-    H, W, ch = grid.check_image(x)
-    f = x if x.ndim == 3 else x[:, :, None]
-    theta = np.asarray(theta, float)
-    phi = np.mod(np.asarray(phi, float), 2.0 * np.pi)
-    r = theta * H / np.pi - 0.5
-    c = phi * W / (2.0 * np.pi) - 0.5
-    r0 = np.floor(r).astype(int)
-    c0 = np.floor(c).astype(int)
-    dr = (r - r0)[..., None]
-    dc = (c - c0)[..., None]
-    r0c = np.clip(r0, 0, H - 1)
-    r1c = np.clip(r0 + 1, 0, H - 1)
-    c0m = np.mod(c0, W)
-    c1m = np.mod(c0 + 1, W)
-    out = (f[r0c, c0m] * (1 - dr) * (1 - dc) + f[r0c, c1m] * (1 - dr) * dc
-           + f[r1c, c0m] * dr * (1 - dc) + f[r1c, c1m] * dr * dc)
-    return out if x.ndim == 3 else out[..., 0]
-
-
 def test_sample_bilinear_matches_fancy_index_form():
     rng = np.random.default_rng(5)
     # every latitude including both pole caps (clamped rows), longitudes
@@ -154,7 +135,7 @@ def test_sample_bilinear_matches_fancy_index_form():
     for x in (rng.random((16, 32, 3)), rng.random((16, 32)), rng.random((16, 32, 1))):
         for t, p in ((theta, phi), (theta[:, None], phi[None, :])):
             got = grid.sample_bilinear(x, t, p)
-            want = _sample_bilinear_fancy_index(x, t, p)
+            want = sample_bilinear_fancy_index(x, t, p)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -168,6 +149,58 @@ def test_resample_identity_and_shapes():
     assert up.shape == (16, 32, 3)
     gray = grid.resample(x[:, :, 0], 4)
     assert gray.shape == (4, 8)
+
+
+def test_sample_bilinear_refuses_non_finite_angles():
+    x = np.zeros((4, 8, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="theta"):
+            grid.sample_bilinear(x, [bad], [0.1])
+        with pytest.raises(ValueError, match="phi"):
+            grid.sample_bilinear(x, [0.1], [0.2, bad])
+
+
+def test_sample_bilinear_blocks_match_one_pass():
+    # more points than one block, as flat lists and as a separable grid
+    rng = np.random.default_rng(8)
+    x = rng.random((32, 64, 3))
+    n = 2 * grid.BLOCK_POINTS + 37
+    theta, phi = rng.uniform(0, np.pi, n), rng.uniform(-7.0, 13.0, n)
+    assert np.array_equal(grid.sample_bilinear(x, theta, phi),
+                          sample_bilinear_fancy_index(x, theta, phi))
+    t, p = theta[:300, None], phi[None, :100]
+    assert np.array_equal(grid.sample_bilinear(x, t, p),
+                          sample_bilinear_fancy_index(x, t, p))
+    assert np.array_equal(grid.sample_bilinear(x, 0.3, 1.0),
+                          sample_bilinear_fancy_index(x, 0.3, 1.0))
+
+
+def test_sample_bilinear_wraps_phi_like_np_mod():
+    # phi in [-2pi, 2pi) skips np.mod; the edges of that range, signed
+    # zeros and a negative that rounds to 2pi must sample as np.mod's phi
+    rng = np.random.default_rng(6)
+    x = rng.random((10, 20, 3))
+    tw = 2 * np.pi
+    phi = np.concatenate([np.linspace(-tw, tw, 201)[:-1], rng.uniform(-tw, tw, 300),
+                          [-tw, -1e-17, -0.0, 0.0, tw - 1e-15, np.nextafter(tw, 0)]])
+    theta = rng.uniform(0, np.pi, phi.size)
+    for p in (phi, phi[::-1] - tw, phi + tw):    # in range, and past each end
+        assert np.array_equal(grid.sample_bilinear(x, theta, p),
+                              sample_bilinear_fancy_index(x, theta, p))
+
+
+@pytest.mark.parametrize("H_out", [1, 5, 16, 40])
+def test_resample_matches_full_grid_sampling(H_out):
+    # the unbroadcast (H, 1) x (1, W) angles against the full angle grids
+    rng = np.random.default_rng(H_out)
+    for x in (rng.random((16, 32, 3)), rng.random((16, 32))):
+        theta, phi = grid.grid_angles(H_out)
+        full = grid.sample_bilinear(
+            x, theta[:, None] * np.ones(2 * H_out)[None, :],
+            np.ones(H_out)[:, None] * phi[None, :])
+        got = grid.resample(x, H_out)
+        assert got.shape == full.shape
+        assert np.array_equal(got, full)
 
 
 def test_check_image_rejections():

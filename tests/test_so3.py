@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sphmark import coupling, harmonics, so3
+from sphmark import coupling, grid, harmonics, so3
 from sphmark.so3 import Rotation, little_d, random_rotation, rotate_coeffs, rotate_image, wigner_D
 
-from oracles import d1_matrix, wigner_d_half_pi
+from oracles import d1_matrix, sample_bilinear_fancy_index, wigner_d_half_pi
 
 
 def _little_d_factorial(l, beta):
@@ -219,3 +219,20 @@ def test_rotate_image_identity_and_consistency():
     b = rotate_image(img, R)
     assert np.abs(a - b).max() < 0.03            # measured ~0.017
     assert np.sqrt(np.mean((a - b) ** 2)) < 0.005
+
+
+@pytest.mark.parametrize("H", [64, 100, 256])
+def test_rotate_image_matches_unblocked_form(H):
+    # one pass over every pixel: directions R^T omega of the whole grid,
+    # then the fancy-index sampler; H=100 leaves a partial last block
+    rng = np.random.default_rng(H)
+    R = random_rotation(H + 1)
+    d = grid.grid_directions(H) @ R.matrix
+    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * np.pi)
+    x = rng.random((H, 2 * H, 3))
+    for img in (x, x[:, :, 0], x[:, :, :1]):
+        got = rotate_image(img, R)
+        want = sample_bilinear_fancy_index(img, theta, phi)
+        assert got.shape == img.shape
+        assert np.array_equal(got, want)
