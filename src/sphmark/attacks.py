@@ -12,8 +12,6 @@ text grammar describes attack pipelines for the CLI:
 import math
 
 import numpy as np
-import scipy.fft
-import scipy.ndimage
 
 from . import grid, harmonics, so3
 
@@ -47,6 +45,8 @@ def gaussian_kernel(size, sigma):
 
 def attack_blur_spatial(x, sigma=3.0, size=7):
     """Separable planar Gaussian; wraps in longitude, clamps in latitude."""
+    # scipy loads on first use only: embed and extract never need it
+    import scipy.ndimage
     x = np.asarray(x, float)
     grid.check_image(x)
     k = gaussian_kernel(int(size), float(sigma))
@@ -139,6 +139,7 @@ def attack_jpeg_approx(x, quality=60):
     8x8 block DCT, luminance-table quantization at the given quality,
     dequantize, inverse.  No chroma subsampling and no entropy stage, so
     only the quantization distortion is modeled."""
+    import scipy.fft
     x = np.asarray(x, float)
     H, W, ch = grid.check_image(x)
     T = jpeg_quant_table(quality)

@@ -273,7 +273,8 @@ class _FeatureBank:
         # two legs' blocks, padded to a common width w (padding reads
         # coefficient 0 and no entry uses it).  Every (r, m1, m2) with
         # |m1+m2| <= l is an entry: its two flat positions in the (R, 2, w)
-        # table of channel mixes and its CG value, sorted by (r, m1+m2), so
+        # table of channel mixes and its Clebsch-Gordan value (-1)^(la-lb+m)
+        # sqrt(2l+1) (la lb l; m1 m2 -m), m = m1+m2, sorted by (r, m), so
         # each (r, m) segment sums to one output coefficient.  Zero CG
         # values are kept: l <= la+lb leaves no segment empty, as
         # np.add.reduceat needs.
@@ -290,7 +291,8 @@ class _FeatureBank:
             i, j = i[o], j[o]
             m = m[i, j]
             legs.append(np.stack([2 * r * w + i, (2 * r + 1) * w + j]))
-            cg.append(_cg_tensor(la, lb, l)[i, j, m + l])
+            cg.append(((-1.0) ** (la - lb + m) * math.sqrt(2 * l + 1))
+                      * coupling.threej_table(la, lb, l)[i, j])
             seg.append(n + m + l)
             n += 2 * l + 1
         plan = (idx,
@@ -323,20 +325,6 @@ def _slice_profiles(n_groups, n_degrees, channels):
     S /= np.linalg.norm(S, axis=2, keepdims=True)
     S.setflags(write=False)
     return S
-
-
-@functools.lru_cache(maxsize=None)
-def _cg_tensor(la, lb, l):
-    # Clebsch-Gordan coupling (la x lb -> l), dense over (m1, m2, m = m1+m2);
-    # where |m| > l the coefficient is 0 and its index is clipped into range
-    m = np.add.outer(np.arange(-la, la + 1), np.arange(-lb, lb + 1))
-    T = (((-1.0) ** (la - lb + m) * math.sqrt(2 * l + 1))
-         * coupling.threej_table(la, lb, l))
-    out = np.zeros(T.shape + (2 * l + 1,))
-    np.put_along_axis(out, np.clip(m + l, 0, 2 * l)[..., None], T[..., None],
-                      axis=2)
-    out.setflags(write=False)
-    return out
 
 
 _feature_bank = functools.lru_cache(maxsize=None)(_FeatureBank)

@@ -1,9 +1,8 @@
 """Quality and robustness metrics, plus the noise-bias Monte-Carlo fit."""
 
 import numpy as np
-import scipy.ndimage
 
-from . import coupling, grid, harmonics
+from . import attacks, coupling, grid, harmonics
 
 
 def psnr(a, b, cap=99.0):
@@ -18,14 +17,50 @@ def psnr(a, b, cap=99.0):
     return float(min(cap, 10.0 * np.log10(1.0 / mse)))
 
 
-def _win(x):
-    # 11-tap Gaussian window, sigma 1.5, mirrored borders
-    return scipy.ndimage.gaussian_filter(x, 1.5, truncate=5.0 / 1.5,
-                                         mode="mirror")
+# SSIM's window: 11 taps, sigma 1.5, mirrored borders (d c b | a b c d |
+# c b a).  It runs as GEMMs against one Toeplitz band of _TILE output rows,
+# along each axis in tiles of _TILE samples with a _RADIUS-sample halo, so
+# its cost grows linearly with the image.  With one BLAS thread, tiles of
+# 32 ran as fast as 16 and faster than 64 or 128 at H=64 and at H=256.
+_RADIUS = 5
+_TILE = 32
+_BAND = np.zeros((_TILE, _TILE + 2 * _RADIUS))
+np.put_along_axis(_BAND, np.arange(_TILE)[:, None] + np.arange(2 * _RADIUS + 1),
+                  attacks.gaussian_kernel(2 * _RADIUS + 1, 1.5)[None], axis=1)
+_BAND.setflags(write=False)
+
+
+def _mirrored(n):
+    """Indices of 0..n-1 with a mirrored _RADIUS-sample halo on each side."""
+    i = np.abs(np.arange(-_RADIUS, n + _RADIUS))
+    return np.where(i > n - 1, 2 * (n - 1) - i, i)
+
+
+def _window(p):
+    """Window means of stacked maps p, shape (k + 10, m, w + 10) with
+    mirrored halos on axes 0 and 2; returns (k, m, w)."""
+    r2 = 2 * _RADIUS
+    k, m, w = p.shape[0] - r2, p.shape[1], p.shape[2] - r2
+    rows = p.reshape(-1, w + r2)
+    v = np.empty((k + r2, m, w))
+    cols = v.reshape(-1, w)
+    for s in range(0, w, _TILE):
+        e = min(w, s + _TILE)
+        np.matmul(rows[:, s:e + r2], _BAND[:e - s, :e - s + r2].T,
+                  out=cols[:, s:e])
+    out = np.empty((k, m, w))
+    for s in range(0, k, _TILE):
+        e = min(k, s + _TILE)
+        np.matmul(_BAND[:e - s, :e - s + r2], v[s:e + r2].reshape(e - s + r2, -1),
+                  out=out[s:e].reshape(e - s, -1))
+    return out
 
 
 def ssim(a, b):
-    """Mean structural similarity; constants (0.01)^2, (0.03)^2 on unit range."""
+    """Mean structural similarity; constants (0.01)^2, (0.03)^2 on unit range.
+
+    The five window maps of all channels are built and windowed in bands
+    of _TILE rows, so no step holds a full-raster stack of them."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if a.shape != b.shape:
@@ -34,19 +69,37 @@ def ssim(a, b):
         raise ValueError("image smaller than the 11x11 window")
     fa = a if a.ndim == 3 else a[:, :, None]
     fb = b if b.ndim == 3 else b[:, :, None]
+    H, W, ch = fa.shape
     C1 = 0.01 ** 2
     C2 = 0.03 ** 2
-    vals = []
-    for c in range(fa.shape[2]):
-        x, y = fa[:, :, c], fb[:, :, c]
-        mx, my = _win(x), _win(y)
-        sxx = _win(x * x) - mx * mx
-        syy = _win(y * y) - my * my
-        sxy = _win(x * y) - mx * my
-        num = (2 * mx * my + C1) * (2 * sxy + C2)
-        den = (mx * mx + my * my + C1) * (sxx + syy + C2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
+    R = _RADIUS
+    rows = _mirrored(H)
+    buf = np.empty((min(H, _TILE) + 2 * R, 5, ch, W + 2 * R))
+    total = 0.0
+    for s in range(0, H, _TILE):
+        # the band's rows with their row halo, as five maps, then the
+        # column halos mirrored in place
+        r = rows[s:min(H, s + _TILE) + 2 * R]
+        x = fa[r].transpose(0, 2, 1)
+        y = fb[r].transpose(0, 2, 1)
+        p = buf[:len(r)]
+        q = p[..., R:R + W]
+        q[:, 0] = x
+        q[:, 1] = y
+        np.multiply(x, x, out=q[:, 2])
+        np.multiply(y, y, out=q[:, 3])
+        np.multiply(x, y, out=q[:, 4])
+        p[..., :R] = p[..., 2 * R:R:-1]
+        p[..., R + W:] = p[..., R + W - 2:W - 2:-1]
+        mx, my, exx, eyy, exy = _window(p.reshape(len(r), 5 * ch, -1)).reshape(
+            -1, 5, ch, W).transpose(1, 0, 2, 3)
+        mxy = mx * my
+        mxx = mx * mx
+        myy = my * my
+        num = (2 * mxy + C1) * (2 * (exy - mxy) + C2)
+        den = (mxx + myy + C1) * ((exx - mxx) + (eyy - myy) + C2)
+        total += float(np.sum(num / den))
+    return total / (H * W * ch)
 
 
 def bit_accuracy(a, b):

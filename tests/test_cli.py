@@ -1,13 +1,18 @@
-"""End-to-end command-line tests, run in-process through cli.main()."""
+"""End-to-end command-line tests, run in-process through cli.main(); the
+import guard runs embed and extract in a fresh interpreter."""
 
 import argparse
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sphmark import cli, codec, decoder, grid, harmonics
+from sphmark import attacks, cli, codec, decoder, grid, harmonics
 
 KEY = "123456789"
 PAYLOAD = "12345678"  # 8 hex chars = 32 bits = default k
@@ -178,6 +183,51 @@ def test_embed_refuses_cover_without_embed_degree_energy(tmp_path, capsys):
         assert "no energy on the embed degrees 6, 8, 14" in err
         assert sorted(p.name for p in tmp_path.iterdir()
                       if p.name.startswith(name + "-stego")) == []
+
+
+_FRESH_PROCESS = """
+import json, sys
+import numpy as np
+import sphmark.cli
+from sphmark import attacks, cli, grid
+
+d = sys.argv[1]
+rc = [cli.main(["embed", "--cover", "synth:seed=5,h=64", "--key", "99",
+                "--payload", "0a1b2c3d", "--out", d + "/stego.ppm",
+                "--report", d + "/embed.json"]),
+      cli.main(["extract", "--image", d + "/stego.ppm", "--side", d + "/stego",
+                "--report", d + "/extract.json"])]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+before = scipy_modules()
+x = grid.read_ppm(d + "/stego.ppm")
+np.save(d + "/blur.npy", attacks.apply_attack(x, "blur:sigma=3,k=7"))
+np.save(d + "/jpeg.npy", attacks.apply_attack(x, "jpeg:q=60"))
+with open(d + "/modules.json", "w") as fh:
+    json.dump({"rc": rc, "before": before, "after": scipy_modules()}, fh)
+"""
+
+
+def test_embed_and_extract_load_no_scipy(tmp_path):
+    # a fresh interpreter, as each sphmark command is: importing the CLI,
+    # one embed and one extract load no scipy module; the two attacks
+    # that need it load it on first use and match in-process results
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    with open(tmp_path / "modules.json") as fh:
+        got = json.load(fh)
+    assert got["rc"] == [0, 0]
+    assert got["before"] == []
+    assert "scipy.ndimage" in got["after"] and "scipy.fft" in got["after"]
+    x = grid.read_ppm(str(tmp_path / "stego.ppm"))
+    assert np.array_equal(np.load(tmp_path / "blur.npy"),
+                          attacks.apply_attack(x, "blur:sigma=3,k=7"))
+    assert np.array_equal(np.load(tmp_path / "jpeg.npy"),
+                          attacks.apply_attack(x, "jpeg:q=60"))
 
 
 def test_load_image_synth_forms():

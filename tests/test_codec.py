@@ -214,13 +214,18 @@ def test_coupling_tensors_match_per_entry_loops():
         for arr in (slots, pairs, bank.ctx_weights[t[0]]):
             with pytest.raises(ValueError):
                 arr[0] = 0
-    cg = {(la, lb, l) for l in bank.L_embed for la, lb in bank.ctx_pairs[l]}
-    for la, lb, l in sorted(cg):
-        T = codec._cg_tensor(la, lb, l)
+    # the context plan's CG column, scattered back to one dense tensor per
+    # row, against the per-entry builder
+    idx, _, legs, cg, _ = bank.ctx_plan
+    w = idx.shape[2]
+    r, i = np.divmod(legs[0], 2 * w)
+    j = legs[1] - (2 * r + 1) * w
+    pairs = [(l, la, lb) for l in bank.L_embed for la, lb in bank.ctx_pairs[l]]
+    for row, (l, la, lb) in enumerate(pairs):
+        at = r == row
+        T = np.zeros((2 * la + 1, 2 * lb + 1, 2 * l + 1))
+        T[i[at], j[at], i[at] - la + j[at] - lb + l] = cg[at]
         assert np.abs(T - _cg_tensor_loop(la, lb, l)).max() <= 1e-14
-        assert codec._cg_tensor(la, lb, l) is T
-        with pytest.raises(ValueError):
-            T[0, 0, 0] = 1.0
     S = codec._slice_profiles(4, 3, 3)
     assert codec._slice_profiles(4, 3, 3) is S
     with pytest.raises(ValueError):
@@ -348,6 +353,20 @@ def _context_rows_loop(bank, data):
     return ctx
 
 
+@functools.lru_cache(maxsize=None)
+def _cg_tensor_scatter(la, lb, l):
+    # the dense Clebsch-Gordan tensor (la x lb -> l) over (m1, m2, m1+m2),
+    # scattered from one 3j table; where |m1+m2| > l the coefficient is 0
+    # and its index is clipped into range; reference only
+    m = np.add.outer(np.arange(-la, la + 1), np.arange(-lb, lb + 1))
+    T = (((-1.0) ** (la - lb + m) * math.sqrt(2 * l + 1))
+         * coupling.threej_table(la, lb, l))
+    out = np.zeros(T.shape + (2 * l + 1,))
+    np.put_along_axis(out, np.clip(m + l, 0, 2 * l)[..., None], T[..., None],
+                      axis=2)
+    return out
+
+
 def _context_rows_per_pair_loop(bank, data):
     # one tensordot per (embed degree, pair) against the dense CG tensor:
     # the loop the flat plan replaced; reference only
@@ -358,7 +377,7 @@ def _context_rows_per_pair_loop(bank, data):
         for a, (la, lb) in enumerate(bank.ctx_pairs[l]):
             u = wch[a, 0] @ data[:, la * la:(la + 1) * (la + 1)]
             v = wch[a, 1] @ data[:, lb * lb:(lb + 1) * (lb + 1)]
-            out = v @ np.tensordot(u, codec._cg_tensor(la, lb, l), 1)
+            out = v @ np.tensordot(u, _cg_tensor_scatter(la, lb, l), 1)
             rows[a] = out / (np.linalg.norm(out) + 1e-30)
         ctx[l] = rows
     return ctx

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from sphmark import coupling, harmonics, metrics
 from sphmark.coupling import BispectrumVector, admissible_triplets, bispectrum_vector
@@ -34,6 +35,53 @@ def test_ssim_basic_properties():
         ssim(x, x[:32])
     with pytest.raises(ValueError):
         ssim(np.zeros((8, 16)), np.zeros((8, 16)))   # below the 11x11 window
+
+
+def _scipy_window(x):
+    # the 11-tap, sigma 1.5 Gaussian window with mirrored borders as
+    # scipy.ndimage computes it; reference only
+    return scipy.ndimage.gaussian_filter(x, 1.5, truncate=5.0 / 1.5,
+                                         mode="mirror")
+
+
+def _ssim_scipy(a, b):
+    # one gaussian_filter per map and channel: the form the numpy window
+    # replaced; reference only
+    fa = a if a.ndim == 3 else a[:, :, None]
+    fb = b if b.ndim == 3 else b[:, :, None]
+    C1 = 0.01 ** 2
+    C2 = 0.03 ** 2
+    vals = []
+    for c in range(fa.shape[2]):
+        x, y = fa[:, :, c], fb[:, :, c]
+        mx, my = _scipy_window(x), _scipy_window(y)
+        sxx = _scipy_window(x * x) - mx * mx
+        syy = _scipy_window(y * y) - my * my
+        sxy = _scipy_window(x * y) - mx * my
+        num = (2 * mx * my + C1) * (2 * sxy + C2)
+        den = (mx * mx + my * my + C1) * (sxx + syy + C2)
+        vals.append(np.mean(num / den))
+    return float(np.mean(vals))
+
+
+def test_ssim_matches_scipy_window():
+    rng = np.random.default_rng(11)
+    # the smallest accepted shape, widths on and off the 32-sample tile,
+    # gray, one-channel and three-channel
+    for shape in ((11, 22), (64, 128, 3), (100, 200, 3), (256, 512),
+                  (300, 600, 1)):
+        a = rng.random(shape)
+        b = np.clip(a + 0.05 * rng.standard_normal(shape), 0.0, 1.0)
+        assert abs(ssim(a, b) - _ssim_scipy(a, b)) <= 1e-12
+        assert abs(ssim(a, a) - _ssim_scipy(a, a)) <= 1e-12
+    flat = np.full((64, 128, 3), 0.4)
+    a = rng.random(flat.shape)
+    assert abs(ssim(flat, flat) - _ssim_scipy(flat, flat)) <= 1e-12
+    assert abs(ssim(flat, a) - _ssim_scipy(flat, a)) <= 1e-12
+    # the window alone, tiled along both axes
+    x = rng.random((100, 203))
+    got = metrics._window(np.pad(x, 5, mode="reflect")[:, None, :])[:, 0]
+    assert np.abs(got - _scipy_window(x)).max() <= 1e-14
 
 
 def test_bit_accuracy():
