@@ -14,14 +14,13 @@ __version__ = "0.1.0"
 from .harmonics import (ShCoefficients, SymmetryError, forward_sht,
                         inverse_sht, make_cover, synth_random_bandlimited)
 from .codec import (CodecConfig, SignatureSet, embed, extract_nonblind,
-                    compute_features, generate_patterns,
-                    resolution_scale_embed)
+                    compute_features, generate_patterns)
 from .so3 import Rotation, random_rotation, rotate_coeffs, rotate_image
 
 __all__ = [
     "__version__", "ShCoefficients", "SymmetryError", "forward_sht",
     "inverse_sht", "make_cover", "synth_random_bandlimited", "CodecConfig",
     "SignatureSet", "embed", "extract_nonblind", "compute_features",
-    "generate_patterns", "resolution_scale_embed", "Rotation",
-    "random_rotation", "rotate_coeffs", "rotate_image",
+    "generate_patterns", "Rotation", "random_rotation", "rotate_coeffs",
+    "rotate_image",
 ]

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from . import attacks, codec, coupling, decoder, grid, harmonics, metrics, so3
+from . import (__version__, attacks, codec, coupling, decoder, grid, harmonics,
+               metrics, so3)
 
 
 class _UsageError(Exception):
@@ -89,7 +90,7 @@ def build_config(args):
 
 def write_report(args, report):
     report = dict(report)
-    report.setdefault("tool", {"name": "sphmark", "version": "0.1.0"})
+    report.setdefault("tool", {"name": "sphmark", "version": __version__})
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "report", None):
         with open(args.report, "w") as fh:
@@ -348,8 +349,7 @@ def cmd_train_decoder(args):
         args.k, n=args.n, cover_seed=args.cover_seed, key=_key_of(args),
         payload_seed=args.payload_seed)
     ntr = int(round(0.75 * args.n))
-    tc = decoder.TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=0,
-                             momentum=0.9, seed=0, cube=True)
+    tc = decoder.TrainConfig(lr=args.lr, epochs=args.epochs, cube=True)
     run = decoder.train(Xb[:ntr], Y[:ntr], tc)
     dec = run.decoder
     acc_tr = float((dec.decode(Xb[:ntr]) == Y[:ntr]).mean())
@@ -393,7 +393,8 @@ def build_parser():
     p = _Parser(prog="sphmark",
                 description="rotation-invariant watermarking for "
                             "equirectangular images")
-    p.add_argument("--version", action="version", version="sphmark 0.1.0")
+    p.add_argument("--version", action="version",
+                   version="sphmark " + __version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     e = sub.add_parser("embed", help="embed a payload into a cover")

@@ -705,19 +705,3 @@ def extract_nonblind(y, side, key=None):
     bits = (stats > 0).astype(np.int64)
     return bits, stats
 
-
-def resolution_scale_embed(cover, payload_bits, key, cfg=None, native_h=64):
-    """Embed into an image of any resolution via the native-grid residual.
-
-    The cover is resampled to the native height, embedded there, and the
-    stego-minus-cover residual is resampled back onto the original grid
-    and added.  At the native resolution this reduces to plain embed()."""
-    cfg = cfg or CodecConfig()
-    x = np.asarray(cover, float)
-    grid.check_image(x)
-    if x.shape[0] == native_h:
-        return embed(x, payload_bits, key, cfg)
-    xn = grid.resample(x, native_h)
-    stego_n, side = embed(xn, payload_bits, key, cfg)
-    resid = grid.resample(stego_n - xn, x.shape[0])
-    return np.clip(x + resid, 0.0, 1.0), side

@@ -17,8 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "log_factorial", "wigner_3j", "threej_table", "trivial_projection_coeff",
     "admissible_triplets", "BispectrumVector",
-    "bispectrum_component", "bispectrum_vector",
-    "perturbation_sensitivity", "power_spectrum_features",
+    "bispectrum_component", "bispectrum_vector", "power_spectrum_features",
     "bispectrum_to_csv",
 ]
 
@@ -212,19 +211,6 @@ def bispectrum_vector(c, triplets):
         p *= d.take(idx[2], 0)
         out[lo:hi] = np.add.reduceat((p @ ones) * C, starts)
     return BispectrumVector(triplets, out)
-
-
-def perturbation_sensitivity(c, delta, triplets):
-    """First-order change of each component: the three placement terms only."""
-    if delta.l_max != c.l_max or delta.channels != c.channels:
-        raise ValueError("perturbation must match the signal's l_max and channels")
-    out = np.zeros(len(triplets), complex)
-    for i, t in enumerate(triplets):
-        b1, b2, b3 = (c.block(l) for l in t)
-        d1, d2, d3 = (delta.block(l) for l in t)
-        out[i] = (_contract(t, d1, b2, b3) + _contract(t, b1, d2, b3)
-                  + _contract(t, b1, b2, d3)).sum()
-    return out
 
 
 def power_spectrum_features(c, L):

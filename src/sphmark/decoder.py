@@ -147,20 +147,18 @@ def gradient_check(dec, X, Y, eps=1e-5, n_checks=200, seed=0):
 
 # ------------------------------------------------------------ training
 
+MOMENTUM = 0.9
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-2
     epochs: int = 200
-    batch_size: int = 32        # 0 runs full-batch steps
-    momentum: float = 0.9
-    seed: int = 0
     cube: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 0:
+        if self.lr <= 0 or self.epochs < 1:
             raise ValueError("bad training configuration")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass
@@ -179,7 +177,7 @@ class TrainRun:
 
 
 def train(X, Y, cfg=None):
-    """Fit a LinearDecoder by momentum gradient descent on BCE.
+    """Fit a LinearDecoder by full-batch momentum gradient descent on BCE.
 
     Deterministic for a fixed config; keeps the lowest-loss epoch's
     parameters.  Raises RuntimeError if the loss diverges."""
@@ -201,21 +199,14 @@ def train(X, Y, cfg=None):
     b = np.zeros(k)
     vW = np.zeros_like(W)
     vb = np.zeros_like(b)
-    rng = np.random.default_rng(cfg.seed)
     run = TrainRun(config=cfg)
     best = (np.inf, None, None)
-    bs = cfg.batch_size if 0 < cfg.batch_size < n else n
     for epoch in range(cfg.epochs):
-        order = np.arange(n) if bs == n else rng.permutation(n)
-        for lo in range(0, n, bs):
-            idx = order[lo:lo + bs]
-            Zb, Yb = Z[idx], Y[idx]
-            p = _sigmoid(Zb @ W.T + b)
-            gl = (p - Yb) / (Zb.shape[0] * k)
-            vW = cfg.momentum * vW - cfg.lr * (gl.T @ Zb)
-            vb = cfg.momentum * vb - cfg.lr * gl.sum(axis=0)
-            W += vW
-            b += vb
+        gl = (_sigmoid(Z @ W.T + b) - Y) / (n * k)
+        vW = MOMENTUM * vW - cfg.lr * (gl.T @ Z)
+        vb = MOMENTUM * vb - cfg.lr * gl.sum(axis=0)
+        W += vW
+        b += vb
         p = _sigmoid(Z @ W.T + b)
         loss = bce_loss(p, Y)
         acc = float(((p > 0.5) == (Y > 0.5)).mean())
@@ -268,13 +259,12 @@ def ablate_power_spectrum(ks=(16, 32), n=600, train_frac=0.75,
     Full-batch training so the whole comparison is deterministic; the
     report carries train/holdout accuracy per family and their holdout
     gap for every k."""
-    tc = TrainConfig(lr=lr, epochs=epochs, batch_size=0, momentum=0.9,
-                     seed=0, cube=True)
+    tc = TrainConfig(lr=lr, epochs=epochs, cube=True)
     report = {
         "protocol": {"n": n, "train_fraction": train_frac,
                      "cover_seed": cover_seed, "key": key,
                      "payload_seed": payload_seed, "epochs": epochs,
-                     "lr": lr, "momentum": tc.momentum},
+                     "lr": lr, "momentum": MOMENTUM},
         "runs": {},
     }
     for k in ks:

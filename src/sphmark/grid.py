@@ -90,11 +90,11 @@ def geometric_mask(H):
     return np.sin(theta)
 
 
-def texture_mask(x, strength_floor=0.25, tau=0.08):
+def texture_mask(x, strength_floor=0.25):
     """Gradient-magnitude mask in [strength_floor, 1].
 
     Central differences with longitudinal wrap and latitudinal clamp,
-    magnitude averaged over channels, squashed by 1 - exp(-g/tau) so flat
+    magnitude averaged over channels, squashed by 1 - exp(-g/0.08) so flat
     regions sit at the floor and textured regions approach 1.
     """
     H, W, ch = check_image(x)
@@ -108,7 +108,7 @@ def texture_mask(x, strength_floor=0.25, tau=0.08):
     # d/dcol: periodic
     gc = 0.5 * (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1))
     g = np.sqrt(gr * gr + gc * gc).mean(axis=2)
-    s = 1.0 - np.exp(-g / tau)
+    s = 1.0 - np.exp(-g / 0.08)
     return strength_floor + (1.0 - strength_floor) * s
 
 

@@ -12,7 +12,6 @@ when H >= 4*l_max.
 """
 
 import functools
-import json
 import struct
 
 import numpy as np
@@ -25,7 +24,7 @@ __all__ = [
     "forward_sht", "inverse_sht",
     "power_spectrum", "apply_band_profile", "low_pass",
     "synth_random_bandlimited", "make_cover",
-    "save_coefficients", "load_coefficients", "coefficients_debug_dict",
+    "save_coefficients", "load_coefficients",
 ]
 
 
@@ -128,14 +127,13 @@ class ShCoefficients:
         return self.data.shape[0]
 
     @classmethod
-    def zeros(cls, l_max, channels=1, real=True):
-        return cls(np.zeros((channels, n_coeffs(l_max)), complex), l_max, real)
+    def zeros(cls, l_max, channels=1):
+        return cls(np.zeros((channels, n_coeffs(l_max)), complex), l_max, real=True)
 
-    def block(self, l, channel=None):
+    def block(self, l):
         if not (0 <= l <= self.l_max):
             raise ValueError("degree out of range")
-        b = self.data[:, l * l:(l + 1) * (l + 1)]
-        return b if channel is None else b[channel]
+        return self.data[:, l * l:(l + 1) * (l + 1)]
 
     def copy(self):
         return ShCoefficients(self.data.copy(), self.l_max, self.real)
@@ -145,10 +143,10 @@ class ShCoefficients:
         blocks = (self.block(l) for l in range(self.l_max + 1))
         return max(float(np.abs(b - conj_flip(b)).max()) for b in blocks)
 
-    def assert_symmetry(self, tol=1e-9):
+    def assert_symmetry(self):
         dev = self.symmetry_deviation()
-        if dev > tol:
-            raise SymmetryError("conjugate symmetry violated: %.3e > %.3e" % (dev, tol))
+        if dev > 1e-9:
+            raise SymmetryError("conjugate symmetry violated: %.3e > 1.000e-09" % dev)
 
 
 # ------------------------------------------------------------ transform plan
@@ -278,12 +276,10 @@ def low_pass(c, l_c):
     return out
 
 
-def synth_random_bandlimited(l_max, seed, decay=1.5):
-    """Random real-signal coefficients, per-coefficient std (1+l)^-decay."""
-    if decay <= 0:
-        raise ValueError("decay must be positive")
+def synth_random_bandlimited(l_max, seed):
+    """Random real-signal coefficients, per-coefficient std (1+l)^-1.5."""
     rng = np.random.default_rng(seed)
-    return ShCoefficients(_random_symmetric(rng, l_max, decay), l_max, real=True)
+    return ShCoefficients(_random_symmetric(rng, l_max, 1.5), l_max, real=True)
 
 
 def _random_symmetric(rng, l_max, decay):
@@ -300,14 +296,14 @@ def _random_symmetric(rng, l_max, decay):
     return c
 
 
-def make_cover(seed, H=64, l_max=16, img_std=0.24, decay=1.5):
+def make_cover(seed, H=64, l_max=16, img_std=0.24):
     """Bundled natural-like synthetic cover: 3-channel ERP image in [0,1].
 
     Band-limited random field per channel, normalized to mean 0.5 and the
     requested per-channel std, then clipped.  Deterministic in seed.
     """
     rng = np.random.default_rng(seed)
-    data = np.stack([_random_symmetric(rng, l_max, decay) for _ in range(3)])
+    data = np.stack([_random_symmetric(rng, l_max, 1.5) for _ in range(3)])
     img = inverse_sht(ShCoefficients(data, l_max, real=True), H)
     img = 0.5 + (img - img.mean(axis=(0, 1))) * (img_std / img.std(axis=(0, 1)))
     return np.clip(img, 0.0, 1.0)
@@ -337,23 +333,13 @@ def load_coefficients(path):
     version, l_max, channels, real = struct.unpack_from("<III B", raw, 4)
     if version != _VERSION:
         raise ValueError("%s: unsupported version %d" % (path, version))
+    if channels not in (1, 3):
+        raise ValueError("%s: channels must be 1 or 3, got %d" % (path, channels))
+    if real not in (0, 1):
+        raise ValueError("%s: realness byte must be 0 or 1, got %d" % (path, real))
     n = channels * n_coeffs(l_max)
     if len(raw) != 17 + 16 * n:
         raise ValueError("%s: truncated or oversized payload" % path)
     data = np.frombuffer(raw, "<c16", offset=17).reshape(channels, n_coeffs(l_max))
     return ShCoefficients(data.copy(), l_max, real=bool(real))
 
-
-def coefficients_debug_dict(c):
-    """JSON-ready debug dump (exact values as [re, im] pairs)."""
-    blocks = {}
-    for l in range(c.l_max + 1):
-        b = c.block(l)
-        blocks[str(l)] = [[[v.real, v.imag] for v in row] for row in b]
-    return {"l_max": c.l_max, "channels": c.channels, "real": c.real,
-            "blocks": blocks}
-
-
-def dump_coefficients_json(c, path):
-    with open(path, "w") as fh:
-        json.dump(coefficients_debug_dict(c), fh, sort_keys=True)

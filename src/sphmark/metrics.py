@@ -5,16 +5,16 @@ import numpy as np
 from . import attacks, coupling, grid, harmonics
 
 
-def psnr(a, b, cap=99.0):
-    """Peak SNR in dB for unit-range images; identical inputs hit the cap."""
+def psnr(a, b):
+    """Peak SNR in dB for unit-range images, capped at 99 dB."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if a.shape != b.shape:
         raise ValueError("image shapes differ")
     mse = float(np.mean((a - b) ** 2))
     if mse <= 0.0:
-        return float(cap)
-    return float(min(cap, 10.0 * np.log10(1.0 / mse)))
+        return 99.0
+    return float(min(99.0, 10.0 * np.log10(1.0 / mse)))
 
 
 # SSIM's window: 11 taps, sigma 1.5, mirrored borders (d c b | a b c d |

@@ -158,7 +158,7 @@ def rotate_coeffs(c, R):
         D = wigner_D(l, R)
         out.data[:, l * l:(l + 1) * (l + 1)] = c.block(l) @ D.T
     if out.real:
-        out.assert_symmetry(1e-9)
+        out.assert_symmetry()
     return out
 
 

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import sphmark
 from sphmark import attacks, cli, codec, decoder, grid, harmonics
 
 KEY = "123456789"
@@ -40,11 +41,13 @@ def emb(tmp_path_factory):
             "side": out[:-4]}  # .sig.json/.sig.bin basename
 
 
-def test_version(capsys):
+def test_version(capsys, emb):
     with pytest.raises(SystemExit) as ei:
         cli.main(["--version"])
     assert ei.value.code == 0
-    assert "sphmark 0.1.0" in capsys.readouterr().out
+    assert capsys.readouterr().out == "sphmark %s\n" % sphmark.__version__
+    rep = json.loads(open(emb["report"]).read())
+    assert rep["tool"]["version"] == sphmark.__version__
 
 
 def test_embed_outputs_exist(emb):

@@ -6,8 +6,8 @@ import pytest
 from sphmark import coupling, harmonics, so3
 from sphmark.coupling import (
     BispectrumVector, admissible_triplets, bispectrum_component,
-    bispectrum_vector, log_factorial, perturbation_sensitivity,
-    power_spectrum_features, trivial_projection_coeff, wigner_3j,
+    bispectrum_vector, log_factorial, power_spectrum_features,
+    trivial_projection_coeff, wigner_3j,
 )
 
 from oracles import triple_product_integral, wigner3j_exact
@@ -188,31 +188,6 @@ def test_bispectrum_phase_sensitivity_witness():
     b = bispectrum_component(c2, t)
     assert abs(a) > 1e-6
     assert b == pytest.approx(-a)
-
-
-def test_perturbation_sensitivity_matches_central_difference():
-    c = harmonics.forward_sht(harmonics.make_cover(44), 16)
-    delta = harmonics.ShCoefficients.zeros(16, channels=3, real=True)
-    rng = np.random.default_rng(31)
-    for l in (6, 8, 14):
-        for ch in range(3):
-            delta.block(l)[ch] = _sym_row(rng, l, scale=0.01)
-    trips = admissible_triplets({6, 8, 14}, 16)
-    lin = perturbation_sensitivity(c, delta, trips)
-    eps = 1e-4
-    up = harmonics.ShCoefficients(c.data + eps * delta.data, 16, real=True)
-    dn = harmonics.ShCoefficients(c.data - eps * delta.data, 16, real=True)
-    fd = (bispectrum_vector(up, trips).values
-          - bispectrum_vector(dn, trips).values) / (2 * eps)
-    assert np.abs(lin - fd).max() <= 1e-4 * (1 + np.abs(lin).max())
-    assert np.abs(lin).max() > 0.0
-
-
-def test_perturbation_sensitivity_validation():
-    c = harmonics.synth_random_bandlimited(6, seed=0)
-    bad = harmonics.ShCoefficients.zeros(5)
-    with pytest.raises(ValueError):
-        perturbation_sensitivity(c, bad, [(2, 2, 2)])
 
 
 def test_power_spectrum_features_single_channel_reduces_to_power():

@@ -117,7 +117,7 @@ def test_gradients_match_finite_difference_densely():
 def test_train_separable_problem():
     # raw-linear toy data: disable the cube-root front end
     X, Y = _toy_problem()
-    run = train(X, Y, TrainConfig(lr=0.5, epochs=200, batch_size=0, cube=False))
+    run = train(X, Y, TrainConfig(lr=0.5, epochs=200, cube=False))
     assert run.accuracies[-1] == 1.0
     assert run.losses[-1] < run.losses[0]
     assert run.best_epoch >= 0
@@ -126,19 +126,11 @@ def test_train_separable_problem():
 
 def test_train_determinism():
     X, Y = _toy_problem(seed=7)
-    tc = TrainConfig(lr=0.3, epochs=40, batch_size=16, seed=11)
+    tc = TrainConfig(lr=0.3, epochs=40)
     a = train(X, Y, tc)
     b = train(X, Y, tc)
     assert a.losses == b.losses
     assert np.array_equal(a.decoder.weights, b.decoder.weights)
-
-
-def test_train_minibatch_and_full_batch_both_learn():
-    X, Y = _toy_problem(seed=9)
-    for bs in (0, 16):
-        run = train(X, Y, TrainConfig(lr=0.3, epochs=120, batch_size=bs,
-                                      cube=False))
-        assert run.accuracies[-1] >= 0.95
 
 
 def test_train_validation_and_divergence():
@@ -149,18 +141,16 @@ def test_train_validation_and_divergence():
         train(X, Y[:-1])
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(momentum=1.0)
     # a non-finite loss must abort with diagnostics, not loop silently
     Xw = X.copy()
     Xw[0, 0] = np.nan
     with pytest.raises(RuntimeError, match="diverged"):
-        train(Xw, Y, TrainConfig(lr=0.5, epochs=50, batch_size=0, cube=False))
+        train(Xw, Y, TrainConfig(lr=0.5, epochs=50, cube=False))
 
 
 def test_best_epoch_snapshot():
     X, Y = _toy_problem(seed=13)
-    run = train(X, Y, TrainConfig(lr=0.5, epochs=60, batch_size=0))
+    run = train(X, Y, TrainConfig(lr=0.5, epochs=60))
     assert run.best_epoch == int(np.argmin(run.losses))
 
 
@@ -168,7 +158,7 @@ def test_train_permutation_isomorphism():
     # permuting feature columns permutes the learned weights identically
     X, Y = _toy_problem(seed=15)
     perm = np.random.default_rng(0).permutation(X.shape[1])
-    tc = TrainConfig(lr=0.4, epochs=50, batch_size=0)
+    tc = TrainConfig(lr=0.4, epochs=50)
     a = train(X, Y, tc).decoder
     b = train(X[:, perm], Y, tc).decoder
     assert np.allclose(b.weights, a.weights[:, perm], atol=1e-10)
@@ -177,7 +167,7 @@ def test_train_permutation_isomorphism():
 
 def test_train_run_to_csv(tmp_path):
     X, Y = _toy_problem()
-    run = train(X, Y, TrainConfig(lr=0.3, epochs=5, batch_size=0))
+    run = train(X, Y, TrainConfig(lr=0.3, epochs=5))
     p = tmp_path / "curve.csv"
     run.to_csv(p)
     lines = p.read_text().strip().split("\n")
@@ -203,7 +193,7 @@ def test_ablation_dataset_shapes_and_determinism():
 def test_small_ablation_learns_from_bispectral_features():
     # miniature version of the k-ablation: tiny n, reduced epochs
     Xb, Xp, Y = make_ablation_dataset(k=8, n=80)
-    tc = TrainConfig(lr=1.0, epochs=150, batch_size=0)
+    tc = TrainConfig(lr=1.0, epochs=150)
     run = train(Xb[:60], Y[:60], tc)
     acc = (run.decoder.decode(Xb[60:]) == Y[60:]).mean()
     assert acc >= 0.95
