@@ -38,6 +38,8 @@ def attack_blur_spectral(x, sigma=0.05, l_max=16):
 def gaussian_kernel(size, sigma):
     if size < 1 or size % 2 == 0:
         raise ValueError("kernel size must be odd and positive")
+    if not sigma > 0:
+        raise ValueError("blur sigma must be positive")
     t = np.arange(size) - (size - 1) / 2.0
     k = np.exp(-0.5 * (t / sigma) ** 2)
     return k / k.sum()
@@ -179,33 +181,45 @@ class AttackSpecError(ValueError):
         self.pos = pos
 
 
-_PARAM_NAMES = {
-    "rotate": {"q", "zyz", "seed"},
-    "blur": {"sigma", "k"},
-    "blur_spectral": {"sigma", "lmax"},
-    "noise": {"std", "seed"},
-    "lowpass": {"lc", "lmax"},
-    "resize": {"scale"},
-    "brightness": {"f"},
-    "contrast": {"f"},
-    "jpeg": {"q"},
+def _real(v):
+    try:
+        x = float(v)
+    except ValueError:
+        raise ValueError("not a number")
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
+def _integer(v):
+    try:
+        return int(v)       # exact, however many digits
+    except ValueError:
+        x = _real(v)
+    if x != int(x):
+        raise ValueError("not an integer")
+    return int(x)
+
+
+def _positive(v):
+    x = _real(v)
+    if x <= 0:
+        raise ValueError("not positive")
+    return x
+
+
+# each attack's parameters and the type that reads a value's text
+_PARAMS = {
+    "rotate": {"q": str, "zyz": str, "seed": _integer},
+    "blur": {"sigma": _positive, "k": _integer},
+    "blur_spectral": {"sigma": _real, "lmax": _integer},
+    "noise": {"std": _real, "seed": _integer},
+    "lowpass": {"lc": _integer, "lmax": _integer},
+    "resize": {"scale": _real},
+    "brightness": {"f": _real},
+    "contrast": {"f": _real},
+    "jpeg": {"q": _integer},
 }
-
-
-_STRING_OK = {("rotate", "q"), ("rotate", "zyz")}
-
-
-def _convert(name, key, v, pos):
-    if (name, key) in _STRING_OK:
-        return v
-    try:
-        return int(v)
-    except ValueError:
-        pass
-    try:
-        return float(v)
-    except ValueError:
-        raise AttackSpecError("invalid numeric value %r for %s" % (v, key), pos)
 
 
 def parse_attack(text, base=0):
@@ -246,7 +260,7 @@ def parse_attack(text, base=0):
                 raise AttackSpecError("empty step in mixed spec", pos + st)
             specs.append(parse_attack(part, base=pos + st))
         return ("mixed", {"specs": specs})
-    if name not in _PARAM_NAMES:
+    if name not in _PARAMS:
         raise AttackSpecError("unknown attack %r" % name, base)
     params = {}
     if not sep or not rest.strip():
@@ -258,7 +272,7 @@ def parse_attack(text, base=0):
         if "=" in tok:
             kk, vv = tok.split("=", 1)
             kk = kk.strip()
-            if kk not in _PARAM_NAMES[name]:
+            if kk not in _PARAMS[name]:
                 raise AttackSpecError("unknown parameter %r for %s" % (kk, name),
                                       cursor)
             params[kk] = vv.strip()
@@ -271,8 +285,14 @@ def parse_attack(text, base=0):
                                       % tok.strip(), cursor)
             params[last_key] += "," + tok.strip()
         cursor += len(tok) + 1
-    return (name, {kk: _convert(name, kk, vv, positions[kk])
-                   for kk, vv in params.items()})
+    out = {}
+    for kk, vv in params.items():
+        try:
+            out[kk] = _PARAMS[name][kk](vv)
+        except ValueError as e:
+            raise AttackSpecError("invalid value %r for %s: %s" % (vv, kk, e),
+                                  positions[kk])
+    return (name, out)
 
 
 def apply_attack(x, spec):

@@ -98,6 +98,20 @@ def write_report(args, report):
     return report
 
 
+def _refuse_flags(args, dests, why):
+    """ValueError naming every flag among dests (flag --a-b for dest a_b)
+    that the command line set."""
+    given = ["--" + d.replace("_", "-") for d in dests
+             if getattr(args, d) not in (None, False)]
+    if given:
+        raise ValueError("%s %s" % (", ".join(given), why))
+
+
+_CONFIG_DESTS = ("config", "l_max", "l_embed", "k", "alpha", "groups",
+                 "channels", "mask_floor", "no_geometric_mask",
+                 "no_texture_mask", "no_compensation")
+
+
 def _config_flags(p):
     p.add_argument("--config", help="JSON file with flat codec-config keys")
     p.add_argument("--l-max", dest="l_max", type=int)
@@ -155,6 +169,14 @@ def cmd_embed(args):
 
 
 def cmd_extract(args):
+    if args.decoder:
+        _refuse_flags(args, ("side", "key"), "not used with --decoder: blind "
+                      "mode decodes with the checkpoint alone")
+    elif not args.side:
+        raise ValueError("extract needs --side (or --decoder for blind mode)")
+    else:
+        _refuse_flags(args, _CONFIG_DESTS, "not used with --side: the side "
+                      "file holds the codec config")
     img = load_image(args.image)
     if args.decoder:
         dec = decoder.LinearDecoder.load(args.decoder)
@@ -167,8 +189,6 @@ def cmd_extract(args):
         mean_stat = float(np.abs(np.asarray(stats)).mean())
         cfg_dict = codec.config_to_dict(cfg)
     else:
-        if not args.side:
-            raise ValueError("extract needs --side (or --decoder for blind mode)")
         side = codec.SignatureSet.load(args.side)
         key = _key_of(args) if args.key is not None else None
         bits, st = codec.extract_nonblind(img, side, key=key)

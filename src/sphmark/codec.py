@@ -440,6 +440,8 @@ def _keyed(bank, ctx, Y, pure):
 
 
 def features_from_coeffs(c, cfg=None):
+    """Features (..., n_features) of sets (..., channels, n_coeffs) sharing
+    their non-embed degrees (else ValueError): one context, from the first."""
     cfg = cfg or CodecConfig()
     if isinstance(c, harmonics.ShCoefficients):
         if c.l_max != cfg.l_max:
@@ -447,10 +449,13 @@ def features_from_coeffs(c, cfg=None):
         data = c.data
     else:
         data = np.atleast_2d(np.asarray(c, complex))
-    if data.shape[0] != cfg.channels:
-        raise ValueError("channel count does not match config")
+    if data.shape[-2:] != (cfg.channels, harmonics.n_coeffs(cfg.l_max)):
+        raise ValueError("coefficient shape %r does not match config" % (data.shape,))
+    flat = data.reshape((-1,) + data.shape[-2:])
+    if (flat[1:] != flat[0])[..., ~_embed_band_mask(cfg)].any():
+        raise ValueError("coefficient sets differ on a non-embed degree")
     bank = _bank(cfg)
-    return _keyed(bank, _context(bank, data), _mix(bank, data), _pure(bank, data))
+    return _keyed(bank, _context(bank, flat[0]), _mix(bank, data), _pure(bank, data))
 
 
 def compute_features(x, cfg=None):
@@ -665,17 +670,18 @@ def embed(cover, payload_bits, key, cfg=None):
 
 
 def embed_coefficients(c, payload_bits, key, cfg=None):
-    """Coefficient-domain embed (no mask, no clamp): c + alpha * sum bits."""
+    """Coefficient-domain embed (no mask, no clamp) of payloads (..., k):
+    c + alpha * sum bits, as ShCoefficients if c is one and bits are 1-D."""
     cfg = cfg or CodecConfig()
     bits = np.asarray(payload_bits)
-    if bits.shape != (cfg.k,) or not np.isin(bits, (0, 1)).all():
+    if bits.shape[-1:] != (cfg.k,) or not np.isin(bits, (0, 1)).all():
         raise ValueError("payload must be %d bits of 0/1" % cfg.k)
     wrap = isinstance(c, harmonics.ShCoefficients)
     data = c.data if wrap else np.atleast_2d(np.asarray(c, complex))
     P = generate_patterns(key, cfg)
     a = _embed_strength(data, cfg)
-    out = data + a * np.einsum("k,kcn->cn", 2.0 * bits - 1.0, P)
-    if wrap:
+    out = data + a * np.einsum("...k,kcn->...cn", 2.0 * bits - 1.0, P)
+    if wrap and out.ndim == 2:
         return harmonics.ShCoefficients(out, cfg.l_max, real=c.real)
     return out
 

@@ -219,21 +219,23 @@ def power_spectrum_features(c, L):
     Per degree l in L, the cross-channel Gram of the degree block:
     diagonal entries are the per-channel powers P(l) = sum_m |c_l^m|^2,
     off-diagonal entries the complex cross-channel correlations (re, im).
-    Single-channel input reduces exactly to [P(l)].
+    Single-channel input reduces exactly to [P(l)].  An array c of sets
+    (..., channels, n_coeffs) keeps its leading axes.
     """
+    data = c if isinstance(c, np.ndarray) else c.data
     Ls = sorted(set(int(l) for l in L))
-    if Ls and (Ls[0] < 0 or Ls[-1] > c.l_max):
+    if Ls and (Ls[0] < 0 or (Ls[-1] + 1) ** 2 > data.shape[-1]):
         raise ValueError("degree set must lie within [0, l_max]")
-    out = []
-    for l in Ls:
-        B = c.block(l)
-        G = B @ B.conj().T
-        out.extend(G[i, i].real for i in range(c.channels))
-        for i in range(c.channels):
-            for j in range(i + 1, c.channels):
-                out.append(G[i, j].real)
-                out.append(G[i, j].imag)
-    return np.array(out)
+    ch = data.shape[-2]
+    i, j = np.triu_indices(ch, 1)
+    out = np.empty(data.shape[:-2] + (len(Ls), ch * ch))
+    for n, l in enumerate(Ls):
+        B = data[..., l * l:(l + 1) * (l + 1)]
+        G = B @ B.conj().swapaxes(-1, -2)
+        out[..., n, :ch] = G.diagonal(axis1=-2, axis2=-1).real
+        out[..., n, ch::2] = G[..., i, j].real
+        out[..., n, ch + 1::2] = G[..., i, j].imag
+    return out.reshape(data.shape[:-2] + (-1,))
 
 
 def bispectrum_to_csv(vec, path):

@@ -56,6 +56,9 @@ def test_gaussian_kernel_properties():
         gaussian_kernel(6, 1.0)
     with pytest.raises(ValueError):
         gaussian_kernel(0, 1.0)
+    for sigma in (0.0, -1.0, float("nan")):    # a nan kernel otherwise
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_kernel(7, sigma)
 
 
 def test_blur_spatial_wraps_longitude_clamps_latitude():
@@ -272,6 +275,22 @@ def test_parse_attack_error_positions():
         parse_attack("noise:0.05")              # value without a name
     with pytest.raises(AttackSpecError):
         parse_attack("   ")
+
+
+def test_parse_attack_typed_values():
+    # integer parameters take integral text only, real ones finite text
+    assert parse_attack("blur:sigma=2,k=7.0")[1] == {"sigma": 2.0, "k": 7}
+    _, p = parse_attack("jpeg:q=60")
+    assert type(p["q"]) is int
+    _, p = parse_attack("noise:std=1,seed=12345678901234567891")
+    assert type(p["std"]) is float and p["seed"] == 12345678901234567891
+    for text, why in (("lowpass:lc=8.5", "not an integer"),
+                      ("noise:std=nan", "not finite"),
+                      ("contrast:f=-inf", "not finite"),
+                      ("blur:sigma=-2", "not positive"),
+                      ("rotate:seed=x", "not a number")):
+        with pytest.raises(AttackSpecError, match=why):
+            parse_attack(text)
 
 
 def test_apply_attack_dispatch(cover):

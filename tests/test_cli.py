@@ -426,6 +426,50 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "x.ppm").exists()
 
 
+@pytest.mark.parametrize("spec, param", [
+    ("resize:scale=inf", "scale"), ("jpeg:q=1e400", "q"),
+    ("blur:k=1e400", "k"), ("lowpass:lc=1e400", "lc"),
+    ("rotate:seed=1e400", "seed"), ("mixed:[jpeg:q=inf]", "q"),
+    ("blur_spectral:lmax=16.5", "lmax"), ("rotate:seed=1.5", "seed"),
+    ("blur:sigma=0", "sigma")])
+def test_malformed_attack_parameter_exits_1_at_its_position(spec, param,
+                                                            tmp_path, capsys):
+    out = tmp_path / "x.ppm"
+    assert cli.main(["attack", "--image", "synth:4", "--spec", spec,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid value ")
+    assert "(at position %d)" % spec.rindex(param + "=") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "16", "--l-max", "20"], ["--config", "c.json"],
+    ["--l-embed", "6,8,14"], ["--alpha", "0.1"], ["--groups", "4"],
+    ["--channels", "3"], ["--mask-floor", "0.3"], ["--no-geometric-mask"],
+    ["--no-texture-mask"], ["--no-compensation"]])
+def test_extract_side_refuses_config_flags(flags, emb, capsys):
+    # the side file's config decodes; a flag that would be ignored is refused
+    assert cli.main(["extract", "--image", emb["out"], "--side", emb["side"],
+                     *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --")
+    assert err.endswith(" not used with --side: the side file holds the "
+                        "codec config\n")
+    named = err[len("error: "):err.index(" not used")].split(", ")
+    assert sorted(named) == sorted(f for f in flags if f.startswith("--"))
+
+
+@pytest.mark.parametrize("flags", [["--side", "s"], ["--key", "5"],
+                                   ["--side", "s", "--key", "5"]])
+def test_extract_decoder_refuses_side_and_key(flags, capsys):
+    assert cli.main(["extract", "--image", "synth:4", "--decoder", "d.json",
+                     *flags]) == 1
+    named = ", ".join(f for f in flags if f.startswith("--"))
+    assert capsys.readouterr().err.startswith("error: %s not used with --decoder"
+                                              % named)
+
+
 def test_exit_code_io_errors(tmp_path):
     assert cli.main(["attack", "--image", str(tmp_path / "missing.ppm"),
                      "--spec", "brightness:f=1.1",

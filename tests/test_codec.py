@@ -308,6 +308,9 @@ def test_features_validation():
         features_from_coeffs(harmonics.ShCoefficients.zeros(8, channels=3), cfg)
     with pytest.raises(ValueError):
         features_from_coeffs(np.zeros((1, 289), complex), cfg)
+    for n in (288, 300):                      # not (l_max+1)^2 coefficients
+        with pytest.raises(ValueError, match="coefficient shape"):
+            features_from_coeffs(np.zeros((2, 3, n), complex), cfg)
 
 
 def test_features_rotation_invariance(clean_embed):
@@ -482,6 +485,52 @@ def test_make_signature_matches_finite_difference_loop(kw):
     z0_ref, d_ref = _make_signature_loop(c, 321, cfg, a)
     assert np.abs(z0 - z0_ref).max() <= 1e-12 * np.abs(z0_ref).max()
     assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(channels=1, k=8, groups=4)])
+def test_batched_features_match_per_row_calls(kw):
+    # embeds into one cover share its non-embed degrees, so one context
+    # serves the whole batch; the GEMMs' blocking may differ with batch size
+    cfg = CodecConfig(**kw)
+    c = harmonics.forward_sht(harmonics.make_cover(6), cfg.l_max).data[:cfg.channels]
+    bits = np.random.default_rng(2).integers(0, 2, (6, cfg.k))
+    ct = embed_coefficients(c, bits, 77, cfg)
+    want = np.stack([features_from_coeffs(row, cfg) for row in ct])
+    got = features_from_coeffs(ct, cfg)
+    assert got.shape == want.shape == (6, feature_length(cfg))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # any number of leading axes; a batch of one is the single-set call
+    got2 = features_from_coeffs(ct.reshape((2, 3) + ct.shape[1:]), cfg)
+    assert np.abs(got2.reshape(want.shape) - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.array_equal(features_from_coeffs(ct[:1], cfg)[0],
+                          features_from_coeffs(ct[0], cfg))
+
+
+def test_batched_features_refuse_differing_non_embed_degrees():
+    cfg = CodecConfig()
+    c = harmonics.forward_sht(harmonics.make_cover(6), cfg.l_max).data
+    batch = np.stack([c, c, c])
+    batch[1, 0, 14 * 14 + 3] += 1e-3          # embed degree 14: allowed
+    assert features_from_coeffs(batch, cfg).shape == (3, feature_length(cfg))
+    for l in (0, 3, 16):                      # non-embed degrees
+        bad = batch.copy()
+        bad[2, 1, l * l] += 1e-12
+        with pytest.raises(ValueError, match="non-embed degree"):
+            features_from_coeffs(bad, cfg)
+
+
+def test_batched_embed_coefficients_match_per_row_calls():
+    cfg = CodecConfig()
+    c = harmonics.forward_sht(harmonics.make_cover(2), cfg.l_max)
+    bits = np.random.default_rng(4).integers(0, 2, (2, 5, cfg.k))
+    got = embed_coefficients(c, bits, 7, cfg)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 5) + c.data.shape
+    for i in range(2):
+        for j in range(5):
+            assert np.array_equal(got[i, j], embed_coefficients(c, bits[i, j], 7, cfg).data)
+    for bad in (bits[..., :-1], np.full((3, cfg.k), 2), np.zeros(()), np.zeros((cfg.k, 1))):
+        with pytest.raises(ValueError, match="payload must be"):
+            embed_coefficients(c, bad, 7, cfg)
 
 
 def test_delta_features_match_matched_filter_directions():

@@ -208,6 +208,38 @@ def test_power_spectrum_features_three_channels():
         power_spectrum_features(c, [9])
 
 
+def _power_features_loop(c, L):
+    # the per-set, per-entry loop the batched Gram indexing replaced;
+    # reference only
+    out = []
+    for l in sorted(set(L)):
+        B = c.block(l)
+        G = B @ B.conj().T
+        out.extend(G[i, i].real for i in range(c.channels))
+        for i in range(c.channels):
+            for j in range(i + 1, c.channels):
+                out.append(G[i, j].real)
+                out.append(G[i, j].imag)
+    return np.array(out)
+
+
+def test_power_spectrum_features_batch_matches_per_set_loop():
+    for ch, seed in ((3, 46), (1, 47)):
+        sets = [harmonics.ShCoefficients(
+            harmonics.forward_sht(harmonics.make_cover(seed + i), 8).data[:ch], 8,
+            real=True) for i in range(6)]
+        want = np.stack([_power_features_loop(c, range(1, 9)) for c in sets])
+        got = power_spectrum_features(
+            np.stack([c.data for c in sets]).reshape((2, 3, ch, 81)), range(1, 9))
+        assert got.shape == (2, 3, 8 * ch * ch)
+        assert np.array_equal(got.reshape(6, -1), want)
+        for c, w in zip(sets, want):
+            assert np.array_equal(power_spectrum_features(c, range(1, 9)), w)
+    assert power_spectrum_features(np.zeros((2, 3, 81)), []).shape == (2, 0)
+    with pytest.raises(ValueError, match="within"):
+        power_spectrum_features(np.zeros((2, 3, 80)), [8])
+
+
 def test_bispectrum_vector_container():
     v = BispectrumVector([(1, 1, 2)], [1 + 2j])
     assert len(v) == 1 and v.total == 1 + 2j

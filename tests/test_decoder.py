@@ -6,8 +6,8 @@ import pytest
 
 from sphmark import decoder
 from sphmark.decoder import (
-    LinearDecoder, TrainConfig, bce_loss, cube_root, decoder_gradients,
-    gradient_check, make_ablation_dataset, train,
+    LinearDecoder, TrainConfig, _sigmoid, bce_loss, cube_root,
+    decoder_gradients, gradient_check, make_ablation_dataset, train,
 )
 
 
@@ -163,6 +163,66 @@ def test_train_permutation_isomorphism():
     b = train(X[:, perm], Y, tc).decoder
     assert np.allclose(b.weights, a.weights[:, perm], atol=1e-10)
     assert np.allclose(b.bias, a.bias, atol=1e-10)
+
+
+def _train_two_pass(X, Y, cfg):
+    # the loop train() replaced: each epoch recomputed the probabilities at
+    # the parameters the previous epoch ended with; reference only
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
+    n, F = X.shape
+    k = Y.shape[1]
+    Xc = cube_root(X) if cfg.cube else X
+    mu = Xc.mean(axis=0)
+    Z = (Xc - mu) / (Xc.std(axis=0) + 1e-12)
+    W, b = np.zeros((k, F)), np.zeros(k)
+    vW, vb = np.zeros_like(W), np.zeros_like(b)
+    losses, accs, best = [], [], (np.inf, None, None, -1)
+    for epoch in range(cfg.epochs):
+        gl = (_sigmoid(Z @ W.T + b) - Y) / (n * k)
+        vW = decoder.MOMENTUM * vW - cfg.lr * (gl.T @ Z)
+        vb = decoder.MOMENTUM * vb - cfg.lr * gl.sum(axis=0)
+        W += vW
+        b += vb
+        p = _sigmoid(Z @ W.T + b)
+        loss = bce_loss(p, Y)
+        losses.append(loss)
+        accs.append(float(((p > 0.5) == (Y > 0.5)).mean()))
+        if not np.isfinite(loss) or loss > 1e3:
+            raise RuntimeError("training diverged at epoch %d" % epoch)
+        if loss < best[0]:
+            best = (loss, W.copy(), b.copy(), epoch)
+    return losses, accs, best
+
+
+@pytest.mark.parametrize("cube", [True, False])
+def test_one_pass_train_matches_two_pass_loop(cube):
+    Xa, _, Ya = make_ablation_dataset(k=8, n=40)
+    for X, Y, lr in ((Xa, Ya, 1.0), (*_toy_problem(seed=9), 0.4)):
+        tc = TrainConfig(lr=lr, epochs=60, cube=cube)
+        run = train(X, Y, tc)
+        losses, accs, (_, W, b, best_epoch) = _train_two_pass(X, Y, tc)
+        assert run.losses == losses and run.accuracies == accs
+        assert run.best_epoch == best_epoch
+        assert np.array_equal(run.decoder.weights, W)
+        assert np.array_equal(run.decoder.bias, b)
+
+
+@pytest.mark.parametrize("seed", [0, 3, "nan"])
+def test_one_pass_train_diverges_at_the_two_pass_epoch(seed):
+    # a step near the float maximum overflows the weights to inf, and
+    # inf - inf = nan, after 17-24 epochs; a nan feature diverges at once
+    X, Y = _toy_problem(seed=0 if seed == "nan" else seed)
+    if seed == "nan":
+        X[0, 0] = np.nan
+    tc = TrainConfig(lr=1.7e308, epochs=100, cube=False)
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError) as ref:
+            _train_two_pass(X, Y, tc)
+        epoch = re.search(r"epoch (\d+)", str(ref.value)).group(1)
+        assert (epoch == "0") == (seed == "nan")
+        with pytest.raises(RuntimeError, match="diverged at epoch %s:" % epoch):
+            train(X, Y, tc)
 
 
 def test_train_run_to_csv(tmp_path):
