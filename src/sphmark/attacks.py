@@ -32,7 +32,7 @@ def attack_blur_spectral(x, sigma=0.05, l_max=16):
     ls = np.arange(l_max + 1)
     g = np.exp(-(sigma ** 2) * ls * (ls + 1.0))
     out = harmonics.inverse_sht(harmonics.apply_band_profile(c, g), x.shape[0])
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def gaussian_kernel(size, sigma):
@@ -45,17 +45,57 @@ def gaussian_kernel(size, sigma):
     return k / k.sum()
 
 
+# samples (pixels x channels) in one row block of the blur and JPEG kernels:
+# their temporaries stay this size, only the output is a full raster
+BLOCK_SAMPLES = 1 << 15
+
+
+def _symmetric_taps(p, w, n, axis, out, buf):
+    """Correlate p along axis with the odd symmetric kernel w into out, n
+    samples from a source padded by len(w)//2 on each side of that axis.
+
+    The terms and their order are those of scipy.ndimage.correlate1d for a
+    symmetric kernel, x0 w0 then += (x[-j] + x[+j]) w[j] for j = h..1, so
+    the sums agree bit for bit."""
+    h = len(w) // 2
+    lead = (slice(None),) * axis
+    np.multiply(p[lead + (slice(h, h + n),)], w[h], out=out)
+    for j in range(h, 0, -1):
+        np.add(p[lead + (slice(h - j, h - j + n),)],
+               p[lead + (slice(h + j, h + j + n),)], out=buf)
+        buf *= w[h - j]
+        out += buf
+
+
 def attack_blur_spatial(x, sigma=3.0, size=7):
-    """Separable planar Gaussian; wraps in longitude, clamps in latitude."""
-    # scipy loads on first use only: embed and extract never need it
-    import scipy.ndimage
+    """Separable planar Gaussian; wraps in longitude, clamps in latitude.
+
+    Equal to scipy.ndimage.correlate1d along longitude (mode "wrap") and
+    then along latitude (mode "nearest"), computed in row blocks of about
+    BLOCK_SAMPLES samples with a halo of size//2 clamped rows."""
     x = np.asarray(x, float)
-    grid.check_image(x)
-    k = gaussian_kernel(int(size), float(sigma))
-    out = scipy.ndimage.correlate1d(x, k, axis=1, mode="wrap")
-    # rows are filtered line by line from a buffer, so in place is safe
-    return scipy.ndimage.correlate1d(out, k, axis=0, mode="nearest",
-                                     output=out)
+    H, W, ch = grid.check_image(x)
+    w = gaussian_kernel(int(size), float(sigma))
+    h = len(w) // 2
+    f = x if x.ndim == 3 else x[:, :, None]
+    out = np.empty(f.shape)
+    nb = min(H, max(1, BLOCK_SAMPLES // (W * ch)))
+    # source columns of the h wrapped columns on each side of the padding
+    left = h + np.arange(-h, 0) % W
+    right = h + np.arange(W, W + h) % W
+    p = np.empty((nb + 2 * h, W + 2 * h, ch))   # rows with halo, wrapped
+    t = np.empty((nb + 2 * h, W, ch))           # their longitude pass
+    buf = np.empty_like(t)
+    for r0 in range(0, H, nb):
+        r1 = min(r0 + nb, H)
+        m = r1 - r0 + 2 * h
+        np.take(f, np.arange(r0 - h, r1 + h), axis=0, mode="clip",
+                out=p[:m, h:h + W])
+        p[:m, :h] = p[:m, left]
+        p[:m, W + h:] = p[:m, right]
+        _symmetric_taps(p[:m], w, W, 1, t[:m], buf[:m])
+        _symmetric_taps(t[:m], w, r1 - r0, 0, out[r0:r1], buf[:r1 - r0])
+    return out[:, :, 0] if x.ndim == 2 else out
 
 
 def attack_noise(x, std=0.05, seed=0):
@@ -72,7 +112,7 @@ def attack_lowpass(x, l_c, l_max=16):
     x = np.asarray(x, float)
     c = harmonics.forward_sht(x, l_max)
     out = harmonics.inverse_sht(harmonics.low_pass(c, int(l_c)), x.shape[0])
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def attack_resize(x, scale=0.5):
@@ -135,32 +175,74 @@ def jpeg_quant_table(quality):
     return np.clip(np.floor((_JPEG_Q * s + 50.0) / 100.0), 1.0, 255.0)
 
 
+def _dct_matrix(n):
+    """Orthonormal DCT-II: row k is a_k cos(pi (2i+1) k / 2n) over i."""
+    i = np.arange(n)
+    m = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * i[None, :] + 1) * i[:, None]
+                                  / (2.0 * n))
+    m[0] = np.sqrt(1.0 / n)
+    m.setflags(write=False)
+    return m
+
+
+_DCT8 = _dct_matrix(8)
+
+# a quantized coefficient this close to n + 1/2 is a tie, whatever side of
+# it the transform's round-off put it on
+_TIE = 1e-9
+
+
+def _round_quotients(q):
+    """Round in place to the nearest integer, ties to even, after snapping
+    values within _TIE of a half-integer onto it; returns q.
+
+    8-bit inputs put many DCT quotients d/T exactly on n + 1/2, so without
+    the snap the rounding of those ties would depend on the DCT's round-off
+    rather than on the image."""
+    half = np.floor(q)
+    half += 0.5
+    tie = np.abs(q - half) <= _TIE
+    np.copyto(q, half, where=tie)
+    return np.round(q, out=q)
+
+
 def attack_jpeg_approx(x, quality=60):
     """Grayscale-pipeline JPEG approximation applied per channel.
 
     8x8 block DCT, luminance-table quantization at the given quality,
     dequantize, inverse.  No chroma subsampling and no entropy stage, so
-    only the quantization distortion is modeled."""
-    import scipy.fft
+    only the quantization distortion is modeled.  Partial blocks are padded
+    by edge replication; quotients are rounded by _round_quotients.  Runs in
+    bands of 8-row block rows of about BLOCK_SAMPLES samples: per band two
+    GEMMs forward and two back."""
     x = np.asarray(x, float)
     H, W, ch = grid.check_image(x)
     T = jpeg_quant_table(quality)
-    f = x if x.ndim == 3 else x[:, :, None]
-    # pad to full blocks by edge replication, crop after
-    Hp = (H + 7) // 8 * 8
+    f = (x if x.ndim == 3 else x[:, :, None]).transpose(2, 0, 1)
     Wp = (W + 7) // 8 * 8
-    out = np.empty((Hp, Wp, f.shape[2]))
-    for c in range(f.shape[2]):
-        v = f[:, :, c] * 255.0 - 128.0
-        v = np.pad(v, ((0, Hp - H), (0, Wp - W)), mode="edge")
-        blocks = v.reshape(Hp // 8, 8, Wp // 8, 8).transpose(0, 2, 1, 3)
-        d = scipy.fft.dctn(blocks, type=2, axes=(2, 3), norm="ortho")
-        d = np.round(d / T) * T
-        r = scipy.fft.idctn(d, type=2, axes=(2, 3), norm="ortho")
-        out[:, :, c] = r.transpose(0, 2, 1, 3).reshape(Hp, Wp)
-    out = (out[:H, :W] + 128.0) / 255.0
-    out = out[:, :, 0] if x.ndim == 2 else out
-    return np.clip(out, 0.0, 1.0)
+    Tb = np.tile(T, (1, Wp // 8))       # T over a block row, (8, Wp)
+    cols = np.minimum(np.arange(Wp), W - 1)
+    step = 8 * max(1, BLOCK_SAMPLES // (8 * Wp * ch))
+    out = np.empty((H, W, ch))
+    for r0 in range(0, H, step):
+        r1 = min(r0 + step, (H + 7) // 8 * 8)
+        rows = np.minimum(np.arange(r0, r1), H - 1)
+        v = f[:, rows[:, None], cols]   # (ch, rows, Wp), padded
+        v *= 255.0
+        v -= 128.0
+        # along each block's columns, then along its rows
+        d = _DCT8 @ (v.reshape(-1, 8) @ _DCT8.T).reshape(-1, 8, Wp)
+        d /= Tb
+        _round_quotients(d)
+        d *= Tb
+        v = ((_DCT8.T @ d).reshape(-1, 8) @ _DCT8).reshape(ch, r1 - r0, Wp)
+        n = min(r1, H) - r0
+        v = v[:, :n, :W]
+        v += 128.0
+        v /= 255.0
+        out[r0:r0 + n] = v.transpose(1, 2, 0)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out[:, :, 0] if x.ndim == 2 else out
 
 
 def attack_mixed(x, specs):

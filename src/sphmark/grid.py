@@ -246,4 +246,6 @@ def read_ppm(path):
         raise ValueError("%s: truncated raster, %d of %d bytes"
                          % (path, max(0, len(data) - pos), H * W * 3))
     raster = np.frombuffer(data, np.uint8, count=H * W * 3, offset=pos)
-    return raster.reshape(H, W, 3).astype(float) / 255.0
+    out = raster.reshape(H, W, 3).astype(float)
+    out /= 255.0
+    return out

@@ -77,7 +77,7 @@ def test_blur_spatial_wraps_longitude_clamps_latitude():
 
 
 def _blur_spatial_roll_loop(x, sigma, size):
-    # the np.roll / clamped-pad accumulation correlate1d replaced; reference only
+    # np.roll along longitude, a clamped pad along latitude; reference only
     k = gaussian_kernel(size, sigma)
     r = (len(k) - 1) // 2
     out = np.zeros_like(x)
@@ -176,6 +176,32 @@ def test_brightness_and_contrast(cover):
     assert np.allclose(y - m1, 1.1 * (x - m0), atol=1e-12)
 
 
+def _test_images(H, seed):
+    # float samples and 8-bit ones (k/255, as read from a PPM), RGB and gray
+    x = np.random.default_rng(seed).random((H, 2 * H, 3))
+    x8 = np.round(x * 255.0) / 255.0
+    return x, x[:, :, 1], x8, x8[:, :, 2]
+
+
+@pytest.mark.parametrize("H", [4, 8, 20, 64, 256])
+@pytest.mark.parametrize("size", [1, 3, 5, 7, 9])
+def test_blur_spatial_equals_scipy_correlate1d(H, size):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    k = gaussian_kernel(size, 3.0)
+    for img in _test_images(H, 100 * H + size):
+        want = ndimage.correlate1d(img, k, axis=1, mode="wrap")
+        want = ndimage.correlate1d(want, k, axis=0, mode="nearest")
+        assert np.array_equal(attack_blur_spatial(img, 3.0, size), want)
+
+
+def test_blur_spatial_row_blocks_are_seamless(monkeypatch):
+    # one output row per block: every block's halo is exercised
+    x = _test_images(20, 3)[0]
+    want = attack_blur_spatial(x, 2.0, 9)
+    monkeypatch.setattr(attacks, "BLOCK_SAMPLES", 1)
+    assert np.array_equal(attack_blur_spatial(x, 2.0, 9), want)
+
+
 def test_jpeg_quant_table_law():
     assert np.array_equal(jpeg_quant_table(50), attacks._JPEG_Q)
     assert np.all(jpeg_quant_table(100) == 1.0)
@@ -201,6 +227,68 @@ def test_jpeg_bounds_and_fixed_points(cover):
     odd = harmonics.make_cover(3, H=20)
     out = attack_jpeg_approx(odd, 60)
     assert out.shape == odd.shape
+
+
+def _round_ties_even(q):
+    # the tie rule, stated on its own: within 1e-9 of n + 1/2 is a tie,
+    # and a tie goes to the even neighbour
+    n = np.floor(q)
+    tie = np.abs(q - (n + 0.5)) <= 1e-9
+    even = np.where(n % 2 == 0, n, n + 1)
+    return np.where(tie, even, np.round(q))
+
+
+def _jpeg_scipy_dct(x, quality):
+    # reference: scipy.fft's 8x8 block DCT of the edge-padded raster, with
+    # the tie rule above
+    fft = pytest.importorskip("scipy.fft")
+    T = jpeg_quant_table(quality)
+    f = x if x.ndim == 3 else x[:, :, None]
+    H, W = f.shape[:2]
+    Hp, Wp = (H + 7) // 8 * 8, (W + 7) // 8 * 8
+    out = np.empty((Hp, Wp, f.shape[2]))
+    for c in range(f.shape[2]):
+        v = np.pad(f[:, :, c] * 255.0 - 128.0, ((0, Hp - H), (0, Wp - W)),
+                   mode="edge")
+        blocks = v.reshape(Hp // 8, 8, Wp // 8, 8).transpose(0, 2, 1, 3)
+        d = fft.dctn(blocks, type=2, axes=(2, 3), norm="ortho")
+        d = _round_ties_even(d / T) * T
+        r = fft.idctn(d, type=2, axes=(2, 3), norm="ortho")
+        out[:, :, c] = r.transpose(0, 2, 1, 3).reshape(Hp, Wp)
+    out = np.clip((out[:H, :W] + 128.0) / 255.0, 0.0, 1.0)
+    return out[:, :, 0] if x.ndim == 2 else out
+
+
+@pytest.mark.parametrize("quality", [1, 10, 50, 60, 90, 100])
+def test_jpeg_matches_scipy_dct_oracle(quality, monkeypatch):
+    # H=20 pads a partial block row and column; BLOCK_SAMPLES=1 runs one
+    # block row per band, so the last band is the padded one
+    smooth = harmonics.make_cover(3, H=20)
+    images = (smooth, np.round(smooth * 255.0) / 255.0) + _test_images(20, 5)
+    for img in images:
+        want = _jpeg_scipy_dct(img, quality)
+        got = attack_jpeg_approx(img, quality)
+        assert got.shape == img.shape
+        assert np.abs(got - want).max() <= 1e-12
+        monkeypatch.setattr(attacks, "BLOCK_SAMPLES", 1)
+        assert np.abs(attack_jpeg_approx(img, quality) - want).max() <= 1e-12
+        monkeypatch.undo()
+
+
+def test_jpeg_rounds_half_quotients_to_even():
+    # a flat block of 128 + a gray levels has DC 8a and no AC; at q=50 the
+    # DC step is 16, so odd a puts the DC quotient a/2 exactly on n + 1/2
+    assert attacks._JPEG_Q[0, 0] == 16.0
+    levels = np.array([125, 127, 129, 131, 133, 135])
+    x = np.repeat(levels, 8)[:, None] * np.ones((1, 96)) / 255.0
+    got = attack_jpeg_approx(x, 50)[::8, 0] * 255.0
+    # quotients -1.5, -0.5, 0.5, 1.5, 2.5, 3.5 round to -2, -0, 0, 2, 2, 4
+    assert np.abs(got - [124, 128, 128, 132, 132, 136]).max() <= 1e-9
+    q = np.array([0.5, 1.5, 2.5, -0.5, -2.5, 2.5 + 1e-12, 2.5 - 1e-12,
+                  2.5 + 1e-6, 3.49])
+    assert np.array_equal(attacks._round_quotients(q.copy()),
+                          [0, 2, 2, 0, -2, 2, 2, 3, 3])
+    assert np.array_equal(_round_ties_even(q), [0, 2, 2, 0, -2, 2, 2, 3, 3])
 
 
 def test_rotate_forms(cover):

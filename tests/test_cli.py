@@ -200,32 +200,29 @@ rc = [cli.main(["embed", "--cover", "synth:seed=5,h=64", "--key", "99",
                 "--report", d + "/embed.json"]),
       cli.main(["extract", "--image", d + "/stego.ppm", "--side", d + "/stego",
                 "--report", d + "/extract.json"])]
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-before = scipy_modules()
 x = grid.read_ppm(d + "/stego.ppm")
 np.save(d + "/blur.npy", attacks.apply_attack(x, "blur:sigma=3,k=7"))
 np.save(d + "/jpeg.npy", attacks.apply_attack(x, "jpeg:q=60"))
+rc.append(cli.main(["bench", "--covers", "1", "--report", d + "/bench.json"]))
 with open(d + "/modules.json", "w") as fh:
-    json.dump({"rc": rc, "before": before, "after": scipy_modules()}, fh)
+    json.dump({"rc": rc, "scipy": sorted(m for m in sys.modules
+                                         if m.split(".")[0] == "scipy")}, fh)
 """
 
 
 def test_embed_and_extract_load_no_scipy(tmp_path):
     # a fresh interpreter, as each sphmark command is: importing the CLI,
-    # one embed and one extract load no scipy module; the two attacks
-    # that need it load it on first use and match in-process results
+    # one embed, one extract, the blur and JPEG attacks and a bench over
+    # the default attacks load no scipy module, and the attacks there
+    # match in-process results
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(tmp_path)],
                    env=env, check=True, capture_output=True, timeout=300)
     with open(tmp_path / "modules.json") as fh:
         got = json.load(fh)
-    assert got["rc"] == [0, 0]
-    assert got["before"] == []
-    assert "scipy.ndimage" in got["after"] and "scipy.fft" in got["after"]
+    assert got["rc"] == [0, 0, 0]
+    assert got["scipy"] == []
     x = grid.read_ppm(str(tmp_path / "stego.ppm"))
     assert np.array_equal(np.load(tmp_path / "blur.npy"),
                           attacks.apply_attack(x, "blur:sigma=3,k=7"))
