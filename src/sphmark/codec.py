@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -184,6 +185,9 @@ def generate_patterns(key, cfg=None):
     orthogonal across bits, in bit order, by a thin QR (the Gram-Schmidt
     factor), then degrees are weighted equally.  Raises if k exceeds what
     that construction can keep independent.
+
+    The patterns are the secret, so no cache keeps them: every call
+    derives a fresh array.
     """
     cfg = cfg or CodecConfig()
     key = check_key(key)
@@ -192,16 +196,10 @@ def generate_patterns(key, cfg=None):
             "k=%d payload bits cannot be kept orthogonal on degrees %r with "
             "%d channel(s); at most %d are achievable"
             % (cfg.k, cfg.L_embed, cfg.channels, cfg.capacity))
-    return _patterns(key, cfg.L_embed, cfg.l_max, cfg.k, cfg.n_groups,
-                     cfg.channels)
-
-
-# keyed by the secret key, so bounded: ~0.44 MB per key at the defaults
-@functools.lru_cache(maxsize=16)
-def _patterns(key, L_embed, l_max, k, n_groups, channels):
+    L_embed, k, n_groups, channels = cfg.L_embed, cfg.k, cfg.n_groups, cfg.channels
     sw = _slice_profiles(n_groups, len(L_embed), channels)
     rng = np.random.default_rng(np.random.SeedSequence([key, 0xA11CE]))
-    P = np.zeros((k, channels, harmonics.n_coeffs(l_max)), complex)
+    P = np.zeros((k, channels, harmonics.n_coeffs(cfg.l_max)), complex)
     nL = len(L_embed)
     for li, l in enumerate(L_embed):
         bv = _conj_symmetric_row(rng, l, (k,))
@@ -215,7 +213,6 @@ def _patterns(key, L_embed, l_max, k, n_groups, channels):
             raise ValueError("pattern construction degenerated; reduce k")
         blk = (Q * (r / np.abs(r))).T.reshape(k, channels, 2 * l + 1)
         P[:, :, l * l:(l + 1) * (l + 1)] = blk / math.sqrt(nL)
-    P.setflags(write=False)
     return P
 
 
@@ -508,10 +505,11 @@ class SignatureSet:
             fh.write("\n")
         with open(base + ".sig.bin", "wb") as fh:
             fh.write(b"SPHS" + struct.pack("<I", 1))
+            # each array's own buffer when it is already contiguous <f8/<c16
             for arr in (self.z0, self.directions):
-                fh.write(np.ascontiguousarray(arr, "<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, "<f8"))
             for arr in (self.cover_coeffs, self.delta_coeffs):
-                fh.write(np.ascontiguousarray(arr, "<c16").tobytes())
+                fh.write(np.ascontiguousarray(arr, "<c16"))
 
     @classmethod
     def load(cls, base):
@@ -529,16 +527,19 @@ class SignatureSet:
             raise ValueError("%s: missing field %s" % (js, e))
         except (TypeError, ValueError) as e:
             raise ValueError("%s: %s" % (js, e))
-        with open(bn, "rb") as fh:
-            raw = fh.read()
-        if raw[:8] != b"SPHS" + struct.pack("<I", 1):
-            raise ValueError("%s: signature binary header mismatch" % bn)
         nlm = harmonics.n_coeffs(cfg.l_max)
         counts = [F, cfg.k * F, cfg.channels * nlm * 2, cfg.channels * nlm * 2]
-        if len(raw) != 8 + 8 * sum(counts):
-            raise ValueError("%s: signature binary is truncated or oversized" % bn)
-        vals = np.frombuffer(raw, "<f8", offset=8).copy()
-        z0, dflat, cov, dlt = np.split(vals, np.cumsum(counts)[:-1])
+        with open(bn, "rb") as fh:
+            if fh.read(8) != b"SPHS" + struct.pack("<I", 1):
+                raise ValueError("%s: signature binary header mismatch" % bn)
+            # the size is checked before anything is allocated for it
+            if os.fstat(fh.fileno()).st_size != 8 + 8 * sum(counts):
+                raise ValueError("%s: signature binary is truncated or oversized" % bn)
+            # one readinto per array, straight into its own final buffer
+            parts = [np.empty(n, "<f8") for n in counts]
+            if any(fh.readinto(a) != a.nbytes for a in parts) or fh.read(1):
+                raise ValueError("%s: signature binary is truncated or oversized" % bn)
+        z0, dflat, cov, dlt = parts
         sig = cls(cfg, alpha, z0, dflat.reshape(cfg.k, F),
                   *(a.view("<c16").reshape(cfg.channels, nlm) for a in (cov, dlt)))
         try:
@@ -573,22 +574,41 @@ def make_signature(cover_coeffs, key, cfg, alpha=None):
     cfg = cfg or CodecConfig()
     data = np.atleast_2d(np.asarray(cover_coeffs, complex))
     bank = _bank(cfg)
-    P = generate_patterns(key, cfg)
     a = alpha if alpha is not None else _embed_strength(data, cfg)
-    aP = a * P
-    Y, Q = _mix(bank, data), _mix(bank, aP)
+    z0, d = _signature(bank, data, generate_patterns(key, cfg), a)
+    return z0, d, a
+
+
+def _signature(bank, data, P, a):
+    """Reference features z0 (n_features,) and directions (k, n_features)
+    of cover coefficients data under patterns P at strength a.
+
+    P is scaled to a*P in place and dropped once it is mixed, so a caller
+    that passes its only reference holds no key-derived array past here."""
+    P *= a
+    k = P.shape[0]
+    Y = _mix(bank, data)
     # Row 0 is z0 = f(c), row 1 + k is d_k = f(c + aP_k) - f(c - aP_k).
     # The patterns live on the embed degrees only, so every row sees the
     # cover's context, and the context couplings are linear in the keyed
     # mix: their part of d_k is f_ctx(2aP_k).  The pure couplings are
     # trilinear, so theirs is exactly 2 (three first-order placements of
-    # Q_k) + 2 f_pure(Q_k), with no difference of near-equal terms.
-    pure = np.concatenate([_pure(bank, data)[None],
-                           2.0 * (_placements(bank, Y, Q) + _pure(bank, aP))])
-    X = {l: np.concatenate([Y[l][None], 2.0 * Q[l]]) for l in Y}
-    del Q  # X replaces it: hold the ~1 MB batch once
+    # Q_k) + 2 f_pure(Q_k), with no difference of near-equal terms; the
+    # placements are linear in Q_k, so they take 2Q_k straight from X.
+    X = {}
+    for li, l in enumerate(bank.L_embed):
+        X[l] = np.empty((1 + k, bank.G, 2 * l + 1), complex)
+        X[l][0] = Y[l]
+        np.matmul(bank.sw[:, li, :], P[..., l * l:(l + 1) * (l + 1)], out=X[l][1:])
+        X[l][1:] *= 2.0
+    pure = np.empty((1 + k, bank.G, len(bank.trips)))
+    pure[0] = _pure(bank, data)
+    pure[1:] = _pure(bank, P)
+    del P
+    pure[1:] *= 2.0
+    pure[1:] += _placements(bank, Y, {l: x[1:] for l, x in X.items()})
     f = _keyed(bank, _context(bank, data), X, pure)
-    return f[0], f[1:], a
+    return f[0], f[1:]
 
 
 # ------------------------------------------------------------ embed/extract
@@ -664,7 +684,7 @@ def embed(cover, payload_bits, key, cfg=None):
             "larger alpha or a weaker mask" % (100.0 * short),
             EmbeddingStrengthWarning, stacklevel=2)
 
-    z0, d, _ = make_signature(c.data, key, cfg, alpha=a)
+    z0, d = _signature(_bank(cfg), c.data, P, a)  # scales P in place
     side = SignatureSet(cfg, a, z0, d, c.data.copy(), delta)
     return stego, side
 

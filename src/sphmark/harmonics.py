@@ -141,11 +141,12 @@ class ShCoefficients:
     def symmetry_deviation(self):
         """max |c_l^{-m} - (-1)^m conj(c_l^m)| over all blocks."""
         blocks = (self.block(l) for l in range(self.l_max + 1))
-        return max(float(np.abs(b - conj_flip(b)).max()) for b in blocks)
+        # np.max, not max(): a NaN in any block must reach the result
+        return float(np.max([np.abs(b - conj_flip(b)).max() for b in blocks]))
 
     def assert_symmetry(self):
         dev = self.symmetry_deviation()
-        if dev > 1e-9:
+        if not dev <= 1e-9:  # NaN fails too
             raise SymmetryError("conjugate symmetry violated: %.3e > 1.000e-09" % dev)
 
 
@@ -213,9 +214,12 @@ def inverse_sht(c, H):
     For real-flagged coefficients the imaginary residue must stay below
     1e-7 or a SymmetryError is raised; the residue is then discarded and
     the field is real.  Otherwise the complex field is returned.
+    Non-finite coefficients are refused (ValueError).
     """
     if H < 2:
         raise ValueError("H must be >= 2")
+    if not np.isfinite(c.data).all():
+        raise ValueError("coefficients contain non-finite values")
     p = _plan(H, c.l_max)
     L1, ch = c.l_max + 1, c.channels
     # per m >= 0: a = coefficients of Y^m, b = those of Y^{-m} times (-1)^m,
@@ -236,7 +240,7 @@ def inverse_sht(c, H):
     im = p.CS @ U[1]
     if c.real:
         resid = float(np.abs(im, out=im).max())
-        if resid >= 1e-7:
+        if not resid < 1e-7:  # NaN fails too
             raise SymmetryError("imaginary residue %.3e in real-flagged synthesis"
                                 % resid)
         out = np.matmul(p.CS, U[0], out=im)  # Re f into the spent buffer

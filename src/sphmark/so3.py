@@ -26,7 +26,13 @@ class Rotation:
 
     def __init__(self, w, x, y, z):
         q = np.array([w, x, y, z], float)
-        n = np.linalg.norm(q)
+        if not np.isfinite(q).all():
+            raise ValueError("rotation components must be finite, got %r"
+                             % (tuple(q.tolist()),))
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(q)
+        if n == np.inf:
+            raise ValueError("quaternion norm overflows; scale the components down")
         if n < 1e-12:
             raise ValueError("zero quaternion is not a rotation")
         self.q = q / n
@@ -56,18 +62,16 @@ class Rotation:
     def parse(cls, text):
         """CLI forms: quaternion "w,x,y,z" or Euler "zyz:alpha,beta,gamma"."""
         t = text.strip()
+        zyz = t.lower().startswith("zyz:")
         try:
-            if t.lower().startswith("zyz:"):
-                vals = [float(v) for v in t[4:].split(",")]
-                if len(vals) != 3:
-                    raise ValueError
-                return cls.from_zyz(*vals)
-            vals = [float(v) for v in t.split(",")]
-            if len(vals) != 4:
-                raise ValueError
-            return cls(*vals)
+            vals = [float(v) for v in (t[4:] if zyz else t).split(",")]
         except ValueError:
+            vals = []
+        if len(vals) != (3 if zyz else 4):
             raise ValueError('rotation must be "w,x,y,z" or "zyz:a,b,g", got %r' % text)
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("rotation components must be finite, got %r" % text)
+        return cls.from_zyz(*vals) if zyz else cls(*vals)
 
     def __mul__(self, other):
         w1, x1, y1, z1 = self.q

@@ -440,6 +440,18 @@ def test_malformed_attack_parameter_exits_1_at_its_position(spec, param,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["rotate:q=nan,0,0,1", "rotate:q=1e400,0,0,0",
+                                  "rotate:zyz=nan,0,0"])
+def test_non_finite_rotation_attack_exits_1(spec, tmp_path, capsys):
+    # refused as a rotation, not later as a NaN image
+    out = tmp_path / "x.ppm"
+    assert cli.main(["attack", "--image", "synth:seed=4,h=16", "--spec", spec,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rotation components must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--k", "16", "--l-max", "20"], ["--config", "c.json"],
     ["--l-embed", "6,8,14"], ["--alpha", "0.1"], ["--groups", "4"],

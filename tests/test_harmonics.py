@@ -125,6 +125,16 @@ def test_symmetry_deviation_and_assert():
         c.assert_symmetry()
 
 
+def test_symmetry_check_fails_on_nan():
+    # a NaN deviation compares False with any tolerance, in any block
+    for l, m in ((0, 0), (3, -2), (6, 6)):
+        c = synth_random_bandlimited(6, seed=0)
+        c.data[0, coeff_index(l, m)] = np.nan
+        assert np.isnan(c.symmetry_deviation())
+        with pytest.raises(SymmetryError, match="nan"):
+            c.assert_symmetry()
+
+
 def test_constant_image_transforms_to_dc():
     v = 0.37
     c = forward_sht(np.full((16, 32), v), l_max=8)
@@ -254,6 +264,16 @@ def test_inverse_sht_flags_broken_symmetry():
     c.data[0, coeff_index(4, 1)] += 0.1      # breaks conjugate symmetry
     with pytest.raises(SymmetryError):
         inverse_sht(c, 16)
+
+
+def test_inverse_sht_refuses_non_finite_coefficients():
+    # a NaN real part at m = 0 leaves the imaginary residue finite, so the
+    # coefficients are checked themselves
+    for v in (np.nan, np.inf, complex(0.0, np.nan)):
+        c = synth_random_bandlimited(6, seed=1)
+        c.data[0, coeff_index(4, 0)] = v
+        with pytest.raises(ValueError, match="non-finite"):
+            inverse_sht(c, 16)
 
 
 def test_transform_size_validation():

@@ -93,6 +93,31 @@ def test_parse_forms():
             Rotation.parse(bad)
 
 
+def test_non_finite_rotations_refused():
+    # a NaN quaternion once passed through and rotated to NaN coefficients
+    for text in ("nan,1,0,0", "1e400,0,0,0", "zyz:nan,0,0", "zyz:0,-inf,0"):
+        with pytest.raises(ValueError, match="must be finite"):
+            Rotation.parse(text)
+    for q in ((np.nan, 1, 0, 0), (1, 0, np.inf, 0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Rotation(*q)
+    with pytest.raises(ValueError, match="must be finite"):
+        Rotation.from_zyz(0.1, np.nan, 0.3)
+    with pytest.raises(ValueError, match="must be finite"):
+        Rotation.from_axis_angle([0, np.nan, 1], 0.3)
+    with pytest.raises(ValueError, match="norm overflows"):
+        Rotation(1e200, 0, 0, 0)             # finite, but its norm is not
+    with pytest.raises(ValueError, match="zero quaternion"):
+        Rotation.parse("0,0,0,0")
+
+
+def test_rotate_coeffs_refuses_nan_coefficients():
+    c = harmonics.synth_random_bandlimited(6, seed=2)
+    c.data[0, 5 * 5 + 7] = np.nan            # one entry of a late block
+    with pytest.raises(harmonics.SymmetryError, match="nan"):
+        rotate_coeffs(c, random_rotation(1))
+
+
 def test_haar_mean_rotation_angle():
     # For Haar-uniform rotations the angle density is (1-cos w)/pi on
     # [0, pi], whose mean is pi/2 + 2/pi ~ 2.20742.  Deterministic seeds.
