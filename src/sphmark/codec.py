@@ -227,7 +227,7 @@ def generate_patterns(key, cfg=None):
 class _FeatureBank:
     __slots__ = ("L_embed", "l_max", "channels", "G", "n_ctx", "n_pairs",
                  "trips", "sw", "ctx_pairs", "ctx_weights", "ctx_plan", "roster",
-                 "n_features")
+                 "keyed", "n_features")
 
     def __init__(self, L_embed, l_max, channels, G, n_ctx, n_pairs):
         self.L_embed = L_embed
@@ -302,15 +302,31 @@ class _FeatureBank:
         self.ctx_plan = plan
 
     def _build_roster(self):
+        # roster[t]: each group's keyed slot and its n_pairs context pairs.
+        # keyed: per triplet ti and distinct degree l of t, the coupling
+        # (l, o1, o2) with the other two legs in order, the number of slots
+        # of t that hold l and, per such slot keyed by some groups, those
+        # groups and their pairs; C^{0,0} is symmetric in its legs, so the
+        # slots of one degree read one coupling
         rng = np.random.default_rng(
             np.random.SeedSequence([0x9057, self.G, self.n_pairs, self.n_ctx]))
         self.roster = {}
+        self.keyed = []
         for ti, t in enumerate(self.trips):
             slots = (np.arange(self.G) + ti) % 3
             pairs = rng.integers(0, self.n_ctx, size=(self.G, self.n_pairs, 2))
             for arr in (slots, pairs):
                 arr.setflags(write=False)
             self.roster[t] = (slots, pairs)
+            for l in sorted(set(t)):
+                at = [s for s in range(3) if t[s] == l]
+                uses = []
+                for g in (np.flatnonzero(slots == s) for s in at):
+                    if g.size:
+                        uses.append((g, pairs[g]))
+                        for arr in uses[-1]:
+                            arr.setflags(write=False)
+                self.keyed.append((ti, (l,) + t[:at[0]] + t[at[0] + 1:], len(at), uses))
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,25 +373,22 @@ def _context_rows(bank, data):
 
 def _context(bank, data):
     """The part of the features that only the non-embed degrees set: yield
-    (ti, l, groups, W) per triplet ti and keyed slot s holding groups,
-    l = t[s], where W[x, p] is the context coupling of group groups[x],
-    pair p, with the keyed leg free (C^{0,0} is symmetric in its legs, so
-    that leg goes first).  Every pair couples two of the n_ctx rows, so
-    one GEMM couples all of them and the pairs are gathered from it.
-    Lazy, so one W is alive at a time."""
+    (ti, l, groups, W) per triplet ti and keyed slot holding groups, l the
+    slot's degree, where W[x, p] is the context coupling (l, o1, o2) of
+    group groups[x], pair p, with the keyed leg free.  Every pair couples
+    two of the n_ctx rows, so one GEMM couples all of them, once for the
+    slots of one degree, and the pairs are gathered from it.  Lazy, so one
+    W is alive at a time."""
     rows = _context_rows(bank, data)
-    for ti, t in enumerate(bank.trips):
-        slots, pairs = bank.roster[t]
-        for s in range(3):
-            g = np.flatnonzero(slots == s)
-            if not g.size:
-                continue
-            o1, o2 = t[:s] + t[s + 1:]
-            tp = (t[s], o1, o2)
-            M = coupling._projection_table(tp) * coupling._hankel(tp, rows[o2])
-            # W[b, i, a]: row a on leg o1, row b on leg o2
-            W = (M.reshape(-1, M.shape[-1]) @ rows[o1].T).reshape(M.shape[:2] + (-1,))
-            yield ti, t[s], g, W[pairs[g, :, 1], :, pairs[g, :, 0]]
+    for ti, tp, _, uses in bank.keyed:
+        if not uses:
+            continue
+        o1, o2 = tp[1:]
+        M = coupling._projection_table(tp) * coupling._hankel(tp, rows[o2])
+        # W[b, i, a]: row a on leg o1, row b on leg o2
+        W = (M.reshape(-1, M.shape[-1]) @ rows[o1].T).reshape(M.shape[:2] + (-1,))
+        for g, pairs in uses:
+            yield ti, tp[0], g, W[pairs[..., 1], :, pairs[..., 0]]
 
 
 def _mix(bank, data):
@@ -396,11 +409,13 @@ def _pure(bank, data):
     out = []
     for t in bank.trips:
         l1, l2, l3 = t
-        W = coupling._contract(t, None, blk[l2][..., :, None, :],
-                               blk[l3][..., None, :, :])
-        # K[..., c2, c3, c1]; only its real part reaches a real mix
-        K = (W @ blk[l1][..., None, :, :].swapaxes(-1, -2)).real
-        S = np.einsum("gi,gj,gk->gijk", sw[l2], sw[l3], sw[l1]).reshape(bank.G, -1)
+        # C[i, j] b3[..., c3] at m3 = -m1-m2, then one matmul per leg: leg 2
+        # gives A[..., c3, i, c2], leg 1 K[..., c3, c1, c2]; only the real
+        # part of K reaches a real mix
+        A = ((coupling._projection_table(t) * coupling._hankel(t, blk[l3]))
+             @ blk[l2][..., None, :, :].swapaxes(-1, -2))
+        K = (blk[l1][..., None, :, :] @ A).real
+        S = np.einsum("gi,gj,gk->gijk", sw[l3], sw[l1], sw[l2]).reshape(bank.G, -1)
         out.append(K.reshape(K.shape[:-3] + (-1,)) @ S.T)
     return np.stack(out, axis=-1)
 
@@ -409,13 +424,16 @@ def _placements(bank, Y, Q):
     """First-order change of the pure couplings of the group mixes Y when
     the batch Q (..., G, 2l+1) is placed on one leg, summed over the three
     legs: (..., G, len(trips)).  C^{0,0} is symmetric in its legs, so the
-    placed leg goes first and the other two are contracted once."""
+    placed leg goes first, the other two are contracted once, and slots
+    of one degree add the same change."""
     out = np.zeros(Q[bank.L_embed[0]].shape[:-1] + (len(bank.trips),))
-    for ti, t in enumerate(bank.trips):
-        for s in range(3):
-            o1, o2 = t[:s] + t[s + 1:]
-            W = coupling._contract((t[s], o1, o2), None, Y[o1], Y[o2])
-            out[..., ti] += np.einsum("...gi,gi->...g", Q[t[s]], W).real
+    for ti, tp, n, _ in bank.keyed:
+        W = coupling._contract(tp, None, Y[tp[1]], Y[tp[2]])
+        dz = np.einsum("...gi,gi->...g", Q[tp[0]], W).real
+        # once per slot, in slot order (keyed lists a triplet's degrees in
+        # ascending order), so the sum rounds as one add per slot does
+        for _ in range(n):
+            out[..., ti] += dz
     return out
 
 
@@ -724,7 +742,7 @@ def extract_nonblind(y, side, key=None):
         z0, d = side.z0, side.directions
     else:
         z0, d, _ = make_signature(side.cover_coeffs, key, cfg, alpha=side.alpha)
-    dn = np.sum(d * d, axis=1)
+    dn = np.einsum("kf,kf->k", d, d)
     if (dn < 1e-30).any():
         raise ValueError("degenerate detection directions in signature")
     stats = (z - z0) @ d.T / dn

@@ -157,15 +157,20 @@ _CHUNK = 4096
 
 @functools.lru_cache(maxsize=8)
 def _vector_plan(triplets):
-    """Flat evaluation plan of bispectrum_vector for one triplet tuple.
+    """Flat half-plane evaluation plan of bispectrum_vector for one
+    triplet tuple.
 
-    Every entry (m1, m2) of _projection_table(t) with |m3| <= l3 (the
-    orders _hankel reads, zero-C entries kept so that each triplet owns at
-    least one entry) becomes three flat coefficient indices l^2 + l + m and
-    its C, cut at triplet boundaries into chunks of about _CHUNK entries.
-    Returns (highest degree, chunks); a chunk is (first triplet, end
-    triplet, (3, n) int32 indices, C, offset of each triplet's first
-    entry).  Bounded because its key comes from outside."""
+    The terms at (m1, m2, m3) and (-m1, -m2, -m3) of a triplet carry the
+    same C (C is 0 unless l1+l2+l3 is even), so only the entries (m1, m2)
+    of _projection_table(t) with m1 > 0, or m1 = 0 and m2 >= 0, and
+    |m3| <= l3 (the orders _hankel reads) are kept, C doubled off the
+    centre entry (0, 0), which is its own mirror.  Zero-C entries are
+    kept, so each triplet owns at least its centre.  Each entry becomes
+    three flat coefficient indices l^2 + l + m and its C, cut at triplet
+    boundaries into chunks of about _CHUNK entries.  Returns (highest
+    degree, chunks); a chunk is (first triplet, end triplet, (3, n) int32
+    indices, C, offset of each triplet's first entry).  Bounded because
+    its key comes from outside."""
     chunks, parts, lo, n, top = [], [], 0, 0, 0
     for k, t in enumerate(triplets):
         l1, l2, l3 = t
@@ -173,11 +178,14 @@ def _vector_plan(triplets):
             raise ValueError("degree out of range")
         top = max(top, l1, l2, l3)
         # _hankel of the leg-3 flat indices (shifted by one so that its
-        # zero padding reads -1) gives the leg-3 index of every (m1, m2)
+        # zero padding reads -1) gives the leg-3 index of every (m1, m2);
+        # the half plane starts at the centre in row-major order
         k3 = _hankel(t, np.arange(l3 * l3, (l3 + 1) ** 2) + 1) - 1
+        k3.flat[:l1 * (2 * l2 + 1) + l2] = -1
         i, j = np.nonzero(k3 >= 0)
-        parts.append((l1 * l1 + i, l2 * l2 + j, k3[i, j],
-                      _projection_table(t)[i, j]))
+        C = 2.0 * _projection_table(t)[i, j]
+        C[0] *= 0.5
+        parts.append((l1 * l1 + i, l2 * l2 + j, k3[i, j], C))
         n += i.size
         if n >= _CHUNK or k + 1 == len(triplets):
             *legs, C = (np.concatenate(x) for x in zip(*parts))
@@ -195,21 +203,39 @@ def bispectrum_component(c, t):
     return bispectrum_vector(c, [t]).values[0]
 
 
+def _channel_products(d, idx, ones):
+    """Channel-summed products of the three legs d[idx[0]] d[idx[1]]
+    d[idx[2]] of (n_coeffs, channels) coefficients d."""
+    p = d.take(idx[0], 0)
+    p *= d.take(idx[1], 0)
+    p *= d.take(idx[2], 0)
+    return p @ ones
+
+
 def bispectrum_vector(c, triplets):
-    """Every I_t of the triplet list, in its order, from the cached flat
-    plan: per chunk, gather the three legs, multiply, sum the channels,
-    scale by C and sum each triplet's entries."""
+    """Every I_t of the triplet list, in its order, from the cached
+    half-plane plan: per chunk, the channel-summed products of the three
+    legs, scaled by C and summed over each triplet's entries.
+
+    The mirrored term of a real-flagged set is the conjugate of the kept
+    one, so each entry adds C Re(product) and the values are exactly real.
+    Any other set adds the product at the mirrored orders -m, flat index
+    2(l^2 + l) - k, and halves the sum."""
     top, chunks = _vector_plan(tuple(map(tuple, triplets)))
     if top > c.l_max:
         raise ValueError("degree out of range")
     d = c.data.T.copy()
     ones = np.ones(c.channels)
-    out = np.empty(len(triplets), complex)
+    out = np.empty(len(triplets), float if c.real else complex)
     for lo, hi, idx, C, starts in chunks:
-        p = d.take(idx[0], 0)
-        p *= d.take(idx[1], 0)
-        p *= d.take(idx[2], 0)
-        out[lo:hi] = np.add.reduceat((p @ ones) * C, starts)
+        s = _channel_products(d, idx, ones)
+        if c.real:
+            s = s.real
+        else:
+            l = np.sqrt(idx).astype(np.int32)  # the degree of each index
+            s += _channel_products(d, 2 * (l * l + l) - idx, ones)
+            s *= 0.5
+        out[lo:hi] = np.add.reduceat(s * C, starts)
     return BispectrumVector(triplets, out)
 
 

@@ -6,6 +6,7 @@ shape (H, 2H) or (H, 2H, 3) with float samples in [0, 1]; row 0 is the
 north-pole row, theta grows downward, phi grows with the column index.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,9 +19,8 @@ __all__ = [
 ]
 
 
-def check_image(x):
-    """Validate ERP shape/range conventions; returns (H, W, channels)."""
-    x = np.asarray(x)
+def _check_shape(x):
+    """(H, W, channels) of an ERP-shaped array; ValueError otherwise."""
     if x.ndim == 2:
         H, W = x.shape
         ch = 1
@@ -30,6 +30,13 @@ def check_image(x):
         raise ValueError("expected (H, 2H) or (H, 2H, {1|3}) array, got %r" % (x.shape,))
     if W != 2 * H:
         raise ValueError("ERP width must be 2*height, got %dx%d" % (H, W))
+    return H, W, ch
+
+
+def check_image(x):
+    """Validate ERP shape/range conventions; returns (H, W, channels)."""
+    x = np.asarray(x)
+    H, W, ch = _check_shape(x)
     if not np.isfinite(x).all():
         raise ValueError("image contains non-finite samples")
     return H, W, ch
@@ -65,6 +72,8 @@ def grid_directions(H, rows=slice(None)):
     return d
 
 
+# keyed by the image height, so bounded
+@functools.lru_cache(maxsize=8)
 def quadrature_weights(H):
     """Per-row pixel weight for the S^2 integral; Sum over all pixels = 4pi exactly.
 
@@ -81,7 +90,9 @@ def quadrature_weights(H):
     for m in range(1, H // 2 + 1):
         w -= 2.0 * np.cos(2 * m * theta) / (4 * m * m - 1)
     w *= 2.0 / H                     # sum_i w_i = 2 = int_{-1}^{1} dcos
-    return w * (2.0 * np.pi / (2 * H))
+    w *= 2.0 * np.pi / (2 * H)
+    w.setflags(write=False)
+    return w
 
 
 def geometric_mask(H):

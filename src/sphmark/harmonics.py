@@ -183,23 +183,42 @@ class _Plan:
 _plan = functools.lru_cache(maxsize=8)(_Plan)
 
 
+# a non-finite sample or an overflow is refused with a ValueError below, so
+# numpy's warnings about them would only precede that error
+@np.errstate(over="ignore", invalid="ignore")
 def forward_sht(x, l_max):
     """Quadrature analysis: c_l^m = sum_pixels w * x * conj(Y_l^m).
 
     x is a real raster, so only m >= 0 is computed; the m < 0 half is its
     conjugate mirror c_l^{-m} = (-1)^m conj(c_l^m), and the result is
-    flagged real."""
-    H, W, ch = grid.check_image(x)
+    flagged real.  A raster with a non-finite sample, or with a row whose
+    sum overflows, is refused (ValueError)."""
+    x = np.asarray(x)
+    H, W, ch = grid._check_shape(x)
     if H < 2:
         raise ValueError("H must be >= 2")
     p = _plan(H, l_max)
     L1 = l_max + 1
     f = x if x.ndim == 3 else x[:, :, None]
-    # longitude, row by row: A[h, :, c] = [sum_col x cos(m phi) | sum_col x
-    # sin(m phi)]; the 2pi/W longitude measure is already in the row weights
-    A = p.CS.T @ f
+    # longitude, one GEMM per block of rows copied to (rows*ch, W) in one
+    # reused buffer: A[h, c] = [sum_col x cos(m phi) | sum_col x sin(m phi)];
+    # the 2pi/W longitude measure is already in the row weights
+    A = np.empty((H, ch, 2 * L1))
+    buf = None
+    for s in grid.row_blocks(H, W):
+        n = s.stop - s.start
+        if buf is None:
+            buf = np.empty((n, ch, W))
+        blk = buf[:n]
+        blk[...] = f[s].transpose(0, 2, 1)
+        np.matmul(blk.reshape(n * ch, W), p.CS, out=A[s].reshape(n * ch, 2 * L1))
+    # cos(0 phi) = 1, so the m = 0 cosine column holds the row sums: a NaN
+    # or an infinity anywhere in a row makes its sum non-finite
+    if not np.isfinite(A[:, :, 0]).all():
+        raise ValueError("image contains non-finite samples, or a row whose "
+                         "sum overflows")
     # latitude, one matmul per m: B[m, h] = (Re, -Im) of the row transform
-    B = A.reshape(H, 2, L1, ch).transpose(2, 0, 1, 3).reshape(L1, H, 2 * ch)
+    B = A.reshape(H, ch, 2, L1).transpose(3, 0, 2, 1).reshape(L1, H, 2 * ch)
     C = p.Pa @ B
     cm = C[p.ms, p.ls, :ch] - 1j * C[p.ms, p.ls, ch:]
     out = np.empty((ch, n_coeffs(l_max)), complex)
@@ -208,13 +227,24 @@ def forward_sht(x, l_max):
     return ShCoefficients(out, l_max, real=True)
 
 
+def _check_synthesis(f):
+    """Refuse a synthesized field with a non-finite sample: finite
+    coefficients large enough to overflow (ValueError)."""
+    # max and min propagate NaN and reach +-inf, with no raster temporary
+    if not (np.isfinite(f.max()) and np.isfinite(f.min())):
+        raise ValueError("synthesis overflows: the coefficients are too "
+                         "large for a finite field")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def inverse_sht(c, H):
     """Synthesis f = sum c_l^m Y_l^m at pixel centers; unclamped field.
 
     For real-flagged coefficients the imaginary residue must stay below
     1e-7 or a SymmetryError is raised; the residue is then discarded and
     the field is real.  Otherwise the complex field is returned.
-    Non-finite coefficients are refused (ValueError).
+    Non-finite coefficients, and finite ones whose field overflows, are
+    refused (ValueError).
     """
     if H < 2:
         raise ValueError("H must be >= 2")
@@ -244,8 +274,12 @@ def inverse_sht(c, H):
             raise SymmetryError("imaginary residue %.3e in real-flagged synthesis"
                                 % resid)
         out = np.matmul(p.CS, U[0], out=im)  # Re f into the spent buffer
+        _check_synthesis(out)
     else:
-        out = p.CS @ U[0] + 1j * im
+        re = p.CS @ U[0]
+        _check_synthesis(re)
+        _check_synthesis(im)
+        out = re + 1j * im
     return out[:, :, 0] if ch == 1 else out
 
 

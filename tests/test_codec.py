@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,58 @@ def test_make_signature_matches_finite_difference_loop(kw):
     assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
 
 
+def _context_per_slot(bank, data):
+    # one context GEMM per triplet and keyed slot, so up to three per
+    # distinct coupling; the loop the per-coupling one replaced, reference
+    # only
+    rows = codec._context_rows(bank, data)
+    for ti, t in enumerate(bank.trips):
+        slots, pairs = bank.roster[t]
+        for s in range(3):
+            g = np.flatnonzero(slots == s)
+            if not g.size:
+                continue
+            o1, o2 = t[:s] + t[s + 1:]
+            tp = (t[s], o1, o2)
+            M = coupling._projection_table(tp) * coupling._hankel(tp, rows[o2])
+            W = (M.reshape(-1, M.shape[-1]) @ rows[o1].T).reshape(M.shape[:2] + (-1,))
+            yield ti, t[s], g, W[pairs[g, :, 1], :, pairs[g, :, 0]]
+
+
+def _placements_per_slot(bank, Y, Q):
+    # one free-leg contraction per triplet and slot; reference only
+    out = np.zeros(Q[bank.L_embed[0]].shape[:-1] + (len(bank.trips),))
+    for ti, t in enumerate(bank.trips):
+        for s in range(3):
+            o1, o2 = t[:s] + t[s + 1:]
+            W = coupling._contract((t[s], o1, o2), None, Y[o1], Y[o2])
+            out[..., ti] += np.einsum("...gi,gi->...g", Q[t[s]], W).real
+    return out
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(k=8, groups=2), dict(k=8, groups=1),
+                                dict(channels=1, k=8, groups=4)])
+def test_one_contraction_per_coupling_matches_per_slot_loops(kw, monkeypatch):
+    cfg = CodecConfig(**kw)
+    bank = codec._bank(cfg)
+    c = harmonics.forward_sht(harmonics.make_cover(3), cfg.l_max).data[:cfg.channels]
+    # (6, 6, 8) and the like key two slots of one degree: one coupling
+    assert len(bank.keyed) < 3 * len(bank.trips)
+    assert sum(n for _, _, n, _ in bank.keyed) == 3 * len(bank.trips)
+    for _, _, _, uses in bank.keyed:
+        for arr in (a for use in uses for a in use):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+    z = features_from_coeffs(c, cfg)
+    z0, d, a = make_signature(c, 321, cfg)
+    monkeypatch.setattr(codec, "_context", _context_per_slot)
+    monkeypatch.setattr(codec, "_placements", _placements_per_slot)
+    assert np.array_equal(z, features_from_coeffs(c, cfg))
+    z0_ref, d_ref, a_ref = make_signature(c, 321, cfg)
+    assert a == a_ref
+    assert np.array_equal(z0, z0_ref) and np.array_equal(d, d_ref)
+
+
 @pytest.mark.parametrize("kw", [dict(), dict(channels=1, k=8, groups=4)])
 def test_batched_features_match_per_row_calls(kw):
     # embeds into one cover share its non-embed degrees, so one context
@@ -666,6 +719,30 @@ def test_embed_validation_errors():
             CodecConfig(), 1.0, np.zeros(feature_length()),
             np.zeros((32, feature_length())), np.zeros((3, 289), complex),
             np.zeros((3, 289), complex)))             # degenerate directions
+
+
+def test_read_path_refuses_non_finite_images(clean_embed):
+    _, _, stego, side = clean_embed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (stego, stego[:, :, 1]):
+            for v in (np.nan, np.inf, -np.inf):
+                # a corner, an edge and an interior pixel
+                for r, col in ((0, 0), (63, 127), (0, 70), (40, 127), (31, 50)):
+                    for ch in range(1 if x.ndim == 2 else 3):
+                        bad = x.copy()
+                        bad[(r, col) if x.ndim == 2 else (r, col, ch)] = v
+                        with pytest.raises(ValueError, match="non-finite"):
+                            compute_features(bad)
+                        with pytest.raises(ValueError, match="non-finite"):
+                            extract_nonblind(bad, side)
+        # finite samples whose row sum overflows (128 * 2e306), where no
+        # m >= 1 column does (sum |cos| * 2e306 < 1.7e308)
+        bad = stego.copy()
+        bad[10, :, 2] = 2e306
+        for f in (compute_features, lambda y: extract_nonblind(y, side)):
+            with pytest.raises(ValueError, match="row whose sum overflows"):
+                f(bad)
 
 
 def test_embed_refuses_height_below_sampling_minimum():

@@ -394,3 +394,61 @@ def test_bispectrum_vector_edge_triplets():
         assert idx.dtype == np.int32
         assert not any(a.flags.writeable for a in (idx, C, starts))
     assert coupling._vector_plan.cache_info().maxsize is not None
+
+
+def _bispectrum_full_plane(c, trips):
+    # every entry (m1, m2) of the full plane with |m3| <= l3, one at a time
+    # in plain Python, each with its own C; the sum the half-plane plan
+    # halves, reference only
+    d = c.data.tolist()
+    out = []
+    for l1, l2, l3 in trips:
+        C = coupling._projection_table((l1, l2, l3)).tolist()
+        v = 0j
+        for m1 in range(-l1, l1 + 1):
+            for m2 in range(-l2, l2 + 1):
+                m3 = -m1 - m2
+                if abs(m3) > l3:
+                    continue
+                k1, k2, k3 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2, l3 * l3 + l3 + m3
+                v += C[m1 + l1][m2 + l2] * sum(r[k1] * r[k2] * r[k3] for r in d)
+        out.append(v)
+    return np.array(out)
+
+
+def test_bispectrum_vector_half_plane_matches_full_plane_reference():
+    trips = admissible_triplets(range(17), 16) + [(14, 6, 8), (8, 14, 6),
+                                                  (16, 2, 14), (1, 1, 1)]
+    rng = np.random.default_rng(12)
+    c64 = harmonics.forward_sht(harmonics.make_cover(5), 16)
+    real = [c64, harmonics.forward_sht(harmonics.make_cover(6, H=256), 16),
+            harmonics.ShCoefficients(c64.data[:1], 16, real=True),
+            harmonics.synth_random_bandlimited(16, 3)]
+    # not real-flagged: complex sets with a cover's (1+l)^-1.5 spectrum,
+    # and a real signal's set without the flag; both take the mirrored path
+    std = (1.0 + np.repeat(np.arange(17), 2 * np.arange(17) + 1)) ** -1.5
+    other = [harmonics.ShCoefficients(std * (rng.standard_normal((ch, 289))
+                                             + 1j * rng.standard_normal((ch, 289))), 16)
+             for ch in (1, 3)]
+    other.append(harmonics.ShCoefficients(c64.data, 16, real=False))
+    for c in real + other:
+        got = bispectrum_vector(c, trips).values
+        want = _bispectrum_full_plane(c, trips)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if c.real:
+            assert np.all(got.imag == 0)
+    assert np.abs(bispectrum_vector(other[0], trips).values.imag).max() > 1e-3
+    # a flat spectrum weights the degree-16 entries fully; there the 3j
+    # table's own error (bounded at 1e-12 by the table test) makes C(m) and
+    # C(-m) differ, so the half plane and the full plane differ by that much
+    flat = harmonics.ShCoefficients(rng.standard_normal((3, 289))
+                                    + 1j * rng.standard_normal((3, 289)), 16)
+    want = _bispectrum_full_plane(flat, trips)
+    assert (np.abs(bispectrum_vector(flat, trips).values - want).max()
+            <= 1e-12 * np.abs(want).max())
+    # the half-plane plan keeps the centre and about half of the full one
+    top, chunks = coupling._vector_plan(tuple(trips))
+    n = sum(C.size for _, _, _, C, _ in chunks)
+    full = sum(int((coupling._hankel(t, np.arange(2 * t[2] + 1) + 1) > 0).sum())
+               for t in trips)
+    assert n == (full + len(trips)) // 2

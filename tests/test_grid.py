@@ -63,6 +63,28 @@ def test_quadrature_integrates_low_degree_moments():
     assert np.sum(w * ct * ct) * 2 * H == pytest.approx(4 * np.pi / 3, rel=1e-12)
 
 
+def _quadrature_weights_loop(H):
+    # the per-call loop, before the weights were cached; reference only
+    theta = np.pi * (2 * np.arange(H) + 1) / (2 * H)
+    w = np.ones(H)
+    for m in range(1, H // 2 + 1):
+        w -= 2.0 * np.cos(2 * m * theta) / (4 * m * m - 1)
+    w *= 2.0 / H
+    return w * (2.0 * np.pi / (2 * H))
+
+
+def test_quadrature_weights_cached_read_only_and_bounded():
+    w = grid.quadrature_weights(64)
+    assert grid.quadrature_weights(64) is w
+    assert np.array_equal(w, _quadrature_weights_loop(64))
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    maxsize = grid.quadrature_weights.cache_info().maxsize
+    for H in range(2, 3 + maxsize):
+        grid.quadrature_weights(H)
+    assert grid.quadrature_weights.cache_info().currsize == maxsize
+
+
 def test_quadrature_rejects_tiny_grid():
     with pytest.raises(ValueError):
         grid.quadrature_weights(1)

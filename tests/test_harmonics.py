@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,73 @@ def test_inverse_sht_refuses_non_finite_coefficients():
         c.data[0, coeff_index(4, 0)] = v
         with pytest.raises(ValueError, match="non-finite"):
             inverse_sht(c, 16)
+
+
+def test_inverse_sht_refuses_overflowing_synthesis():
+    # a finite conjugate pair so large that a + b overflows: the overflow
+    # lands in the real part only, so the imaginary residue stays 0
+    c = ShCoefficients.zeros(4)
+    c.data[0, coeff_index(4, 1)] = 1e308 * (1 + 1j)
+    c.data[0, coeff_index(4, -1)] = -1e308 * (1 - 1j)
+    c.assert_symmetry()
+    for cc in (c, ShCoefficients(c.data, 4, real=False)):
+        # the error, not numpy's overflow warning, even when warnings raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                inverse_sht(cc, 16)
+    # still a finite field just below it
+    c.data *= 1e-300
+    assert np.isfinite(inverse_sht(c, 16)).all()
+
+
+def _non_finite_images():
+    # NaN, +inf and -inf at a corner, an edge and an interior pixel, in
+    # each channel of a gray and an RGB raster
+    rgb = make_cover(8, H=16, l_max=4)
+    for x in (rgb, rgb[:, :, 1]):
+        for v in (np.nan, np.inf, -np.inf):
+            for r, col in ((0, 0), (15, 31), (0, 17), (9, 31), (7, 12)):
+                for ch in range(1 if x.ndim == 2 else 3):
+                    bad = x.copy()
+                    bad[(r, col) if x.ndim == 2 else (r, col, ch)] = v
+                    yield bad
+
+
+def test_forward_sht_refuses_non_finite_samples():
+    n = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _non_finite_images():
+            with pytest.raises(ValueError, match="non-finite"):
+                forward_sht(bad, 4)
+            n += 1
+        assert n == 3 * 5 * (3 + 1)
+        # finite samples whose row sum overflows are refused too; 32 * 7e306
+        # overflows, while every m >= 1 column stays below sum |cos| * 7e306
+        x = np.zeros((16, 32))
+        x[5] = 7e306
+        with pytest.raises(ValueError, match="row whose sum overflows"):
+            forward_sht(x, 4)
+    # the largest finite rows that do not overflow are analysed
+    x[5] = 1e308 / 64
+    assert np.isfinite(forward_sht(x, 4).data).all()
+
+
+def test_forward_sht_row_blocks_match_one_gemm():
+    # H=256 runs the longitude stage in 16 blocks, H=64 in one; both match
+    # the row-by-row transform of the whole raster
+    for H in (64, 256):
+        x = make_cover(H + 5, H=H)
+        p = harmonics._plan(H, 16)
+        A = (p.CS.T @ x).reshape(H, 2, 17, 3).transpose(2, 0, 1, 3).reshape(17, H, 6)
+        C = p.Pa @ A
+        want = C[p.ms, p.ls, :3] - 1j * C[p.ms, p.ls, 3:]
+        got = forward_sht(x, 16).data[:, p.pos].T
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # any real dtype is read as float64
+        assert np.array_equal(forward_sht(x.astype(np.float32), 16).data,
+                              forward_sht(x.astype(np.float32).astype(float), 16).data)
 
 
 def test_transform_size_validation():
