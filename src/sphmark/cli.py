@@ -70,13 +70,10 @@ def build_config(args):
                 codec.CodecConfig(**base)  # the file's values, before the flags
             except ValueError as e:
                 raise ValueError("%s: %s" % (args.config, e))
-    flag_map = {"l_max": "l_max", "k": "k", "alpha": "alpha",
-                "groups": "groups", "channels": "channels",
-                "mask_floor": "mask_floor"}
-    for attr, field in flag_map.items():
-        v = getattr(args, attr, None)
+    for name in ("l_max", "k", "alpha", "groups", "channels", "mask_floor"):
+        v = getattr(args, name, None)
         if v is not None:
-            base[field] = v
+            base[name] = v
     if getattr(args, "l_embed", None):
         base["L_embed"] = [int(t) for t in args.l_embed.split(",")]
     if getattr(args, "no_geometric_mask", False):

@@ -96,13 +96,19 @@ def check_config_fields(d):
     bad = sorted(str(n) for n in set(d) - set(known))
     if bad:
         raise ValueError("unknown config keys: %s" % ", ".join(bad))
-    # JSON writes an integral float such as 1.0 as 1, and a tuple as a list
-    accept = {int: numbers.Integral, float: numbers.Real, bool: bool,
-              tuple: (list, tuple)}
     for name, v in d.items():
-        if not isinstance(v, accept[known[name]]):
+        if not _is_field_value(known[name], v):
             raise ValueError("config field %s must be %s, got %r"
                              % (name, known[name].__name__, v))
+
+
+def _is_field_value(kind, v):
+    """v fits a config field of type kind.  JSON writes an integral float as
+    an int and a tuple as a list of int; a bool is not a number here."""
+    if kind is tuple:
+        return isinstance(v, (list, tuple)) and all(_is_field_value(int, l) for l in v)
+    want = {int: numbers.Integral, float: numbers.Real, bool: bool}[kind]
+    return isinstance(v, want) and (kind is bool or not isinstance(v, bool))
 
 
 def config_from_dict(d):
@@ -482,28 +488,28 @@ def compute_features(x, cfg=None):
 
 # ------------------------------------------------------------ side info
 
+_SIG_HEADER = b"SPHS" + struct.pack("<I", 2)  # .sig.bin of side-file version 2
+
+
 @dataclass
 class SignatureSet:
     """Non-blind detection side information produced by embed().
 
-    Holds the reference feature vector, per-bit matched-filter directions,
-    the cover coefficients (so directions can be re-derived under any
-    candidate key), and the realized coefficient change."""
+    Holds the reference feature vector, per-bit matched-filter directions
+    and the cover coefficients, so directions can be re-derived under any
+    candidate key."""
     config: CodecConfig
     alpha: float
     z0: np.ndarray
     directions: np.ndarray
     cover_coeffs: np.ndarray
-    delta_coeffs: np.ndarray
 
     def validate(self):
         cfg = self.config
         F = feature_length(cfg)
-        nlm = harmonics.n_coeffs(cfg.l_max)
         if self.z0.shape != (F,) or self.directions.shape != (cfg.k, F):
             raise ValueError("signature arrays do not match configuration")
-        if (self.cover_coeffs.shape != (cfg.channels, nlm)
-                or self.delta_coeffs.shape != (cfg.channels, nlm)):
+        if self.cover_coeffs.shape != (cfg.channels, harmonics.n_coeffs(cfg.l_max)):
             raise ValueError("signature coefficients do not match configuration")
         if not np.isfinite(self.alpha) or self.alpha <= 0:
             raise ValueError("signature strength must be positive")
@@ -513,7 +519,7 @@ class SignatureSet:
         self.validate()
         meta = {
             "format": "sphmark-signature",
-            "version": 1,
+            "version": 2,
             "config": config_to_dict(self.config),
             "alpha": self.alpha,
             "feature_length": int(self.z0.size),
@@ -522,12 +528,11 @@ class SignatureSet:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
         with open(base + ".sig.bin", "wb") as fh:
-            fh.write(b"SPHS" + struct.pack("<I", 1))
+            fh.write(_SIG_HEADER)
             # each array's own buffer when it is already contiguous <f8/<c16
             for arr in (self.z0, self.directions):
                 fh.write(np.ascontiguousarray(arr, "<f8"))
-            for arr in (self.cover_coeffs, self.delta_coeffs):
-                fh.write(np.ascontiguousarray(arr, "<c16"))
+            fh.write(np.ascontiguousarray(self.cover_coeffs, "<c16"))
 
     @classmethod
     def load(cls, base):
@@ -537,8 +542,11 @@ class SignatureSet:
             with open(js) as fh:
                 meta = json.load(fh)  # a syntax error is a ValueError
             if (not isinstance(meta, dict) or meta.get("format") != "sphmark-signature"
-                    or meta.get("version") != 1):
+                    or meta.get("version") not in (1, 2)):
                 raise ValueError("not a recognized signature file")
+            if meta["version"] == 1:
+                raise ValueError("side file version 1 is no longer read; re-embed "
+                                 "the cover to write version 2")
             cfg = config_from_dict(meta["config"])
             alpha, F = float(meta["alpha"]), int(meta["feature_length"])
         except KeyError as e:
@@ -546,9 +554,9 @@ class SignatureSet:
         except (TypeError, ValueError) as e:
             raise ValueError("%s: %s" % (js, e))
         nlm = harmonics.n_coeffs(cfg.l_max)
-        counts = [F, cfg.k * F, cfg.channels * nlm * 2, cfg.channels * nlm * 2]
+        counts = [F, cfg.k * F, cfg.channels * nlm * 2]
         with open(bn, "rb") as fh:
-            if fh.read(8) != b"SPHS" + struct.pack("<I", 1):
+            if fh.read(8) != _SIG_HEADER:
                 raise ValueError("%s: signature binary header mismatch" % bn)
             # the size is checked before anything is allocated for it
             if os.fstat(fh.fileno()).st_size != 8 + 8 * sum(counts):
@@ -557,9 +565,9 @@ class SignatureSet:
             parts = [np.empty(n, "<f8") for n in counts]
             if any(fh.readinto(a) != a.nbytes for a in parts) or fh.read(1):
                 raise ValueError("%s: signature binary is truncated or oversized" % bn)
-        z0, dflat, cov, dlt = parts
+        z0, dflat, cov = parts
         sig = cls(cfg, alpha, z0, dflat.reshape(cfg.k, F),
-                  *(a.view("<c16").reshape(cfg.channels, nlm) for a in (cov, dlt)))
+                  cov.view("<c16").reshape(cfg.channels, nlm))
         try:
             sig.validate()
         except ValueError as e:
@@ -703,8 +711,7 @@ def embed(cover, payload_bits, key, cfg=None):
             EmbeddingStrengthWarning, stacklevel=2)
 
     z0, d = _signature(_bank(cfg), c.data, P, a)  # scales P in place
-    side = SignatureSet(cfg, a, z0, d, c.data.copy(), delta)
-    return stego, side
+    return stego, SignatureSet(cfg, a, z0, d, c.data.copy())
 
 
 def embed_coefficients(c, payload_bits, key, cfg=None):

@@ -15,23 +15,14 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
-    "log_factorial", "wigner_3j", "threej_table", "trivial_projection_coeff",
-    "admissible_triplets", "BispectrumVector",
-    "bispectrum_component", "bispectrum_vector", "power_spectrum_features",
-    "bispectrum_to_csv",
+    "wigner_3j", "threej_table", "admissible_triplets", "BispectrumVector",
+    "bispectrum_vector", "power_spectrum_features",
 ]
 
 # ln(n!) for n = 0..300, then +inf: a negative index wraps into the tail,
 # so 1/n! = 0 for n < 0 and Racah terms outside their t range vanish
 _LOGFACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 301))),
                            np.full(300, np.inf)])
-
-
-def log_factorial(n):
-    """ln(n!) from the precomputed cumulative table (n <= 300)."""
-    if not (0 <= n <= 300):
-        raise ValueError("log_factorial table covers 0..300")
-    return float(_LOGFACT[n])
 
 
 def _racah(l1, l2, l3, m1, m2):
@@ -72,13 +63,6 @@ def threej_table(l1, l2, l3):
                np.arange(-l2, l2 + 1))
     T.setflags(write=False)
     return T
-
-
-def trivial_projection_coeff(t, m1, m2, m3):
-    """C^{0,0}_{l1 m1 l2 m2 l3 m3}: prefactor x 3j(zeros) x 3j(m's)."""
-    l1, l2, l3 = t
-    pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4.0 * math.pi))
-    return pref * wigner_3j(l1, l2, l3, 0, 0, 0) * wigner_3j(l1, l2, l3, m1, m2, m3)
 
 
 def admissible_triplets(L, l_max):
@@ -198,11 +182,6 @@ def _vector_plan(triplets):
     return top, tuple(chunks)
 
 
-def bispectrum_component(c, t):
-    """I_t = sum_{m1+m2+m3=0} C^{0,0} c^{m1} c^{m2} c^{m3}, channel-summed."""
-    return bispectrum_vector(c, [t]).values[0]
-
-
 def _channel_products(d, idx, ones):
     """Channel-summed products of the three legs d[idx[0]] d[idx[1]]
     d[idx[2]] of (n_coeffs, channels) coefficients d."""
@@ -263,9 +242,3 @@ def power_spectrum_features(c, L):
         out[..., n, ch + 1::2] = G[..., i, j].imag
     return out.reshape(data.shape[:-2] + (-1,))
 
-
-def bispectrum_to_csv(vec, path):
-    with open(path, "w") as fh:
-        fh.write("l1,l2,l3,re,im\n")
-        for t, v in zip(vec.triplets, vec.values):
-            fh.write("%d,%d,%d,%.12g,%.12g\n" % (t[0], t[1], t[2], v.real, v.imag))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "pixel_center_direction", "grid_angles", "grid_directions",
+    "grid_angles", "grid_directions",
     "quadrature_weights", "geometric_mask", "texture_mask",
     "sample_bilinear", "resample", "read_ppm", "write_ppm",
     "check_image",
@@ -42,19 +42,9 @@ def check_image(x):
     return H, W, ch
 
 
-def pixel_center_direction(row, col, H):
-    """(theta, phi) of a pixel center; theta = pi(row+.5)/H, phi = 2pi(col+.5)/(2H)."""
-    row = np.asarray(row)
-    col = np.asarray(col)
-    if np.any(row < 0) or np.any(row >= H) or np.any(col < 0) or np.any(col >= 2 * H):
-        raise ValueError("pixel index out of range for H=%d" % H)
-    theta = np.pi * (row + 0.5) / H
-    phi = 2.0 * np.pi * (col + 0.5) / (2 * H)
-    return theta, phi
-
-
 def grid_angles(H):
-    """Per-row theta (H,) and per-column phi (2H,) at pixel centers."""
+    """Per-row theta (H,) and per-column phi (2H,) at pixel centers:
+    theta = pi (row + 1/2) / H, phi = 2 pi (col + 1/2) / (2H)."""
     theta = np.pi * (np.arange(H) + 0.5) / H
     phi = 2.0 * np.pi * (np.arange(2 * H) + 0.5) / (2 * H)
     return theta, phi
@@ -170,7 +160,7 @@ def sample_bilinear(x, theta, phi):
     """Sample an ERP image at arbitrary directions.
 
     theta and phi broadcast against each other.  Fractional pixel
-    coordinates from the inverse of pixel_center_direction; columns wrap
+    coordinates invert grid_angles' pixel centers; columns wrap
     modulo W, rows clamp at the first/last row centers (no cross-pole
     interpolation).  Non-finite angles raise ValueError.
     """

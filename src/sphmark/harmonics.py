@@ -12,7 +12,6 @@ when H >= 4*l_max.
 """
 
 import functools
-import struct
 
 import numpy as np
 
@@ -20,11 +19,9 @@ from . import grid
 
 __all__ = [
     "SymmetryError", "ShCoefficients",
-    "assoc_legendre_normalized", "sh_eval",
     "forward_sht", "inverse_sht",
     "power_spectrum", "apply_band_profile", "low_pass",
     "synth_random_bandlimited", "make_cover",
-    "save_coefficients", "load_coefficients",
 ]
 
 
@@ -51,7 +48,8 @@ def conj_flip(blk):
 
 
 def _legendre_table(l_max, x):
-    """dict[(l,m)] -> Pbar_l^m(x); orthonormal, CS phase folded in."""
+    """dict[(l,m)] -> Pbar_l^m(x), 0 <= m <= l <= l_max, by the stable
+    three-term recurrence; unit norm on [-1, 1], CS phase folded in."""
     x = np.asarray(x, float)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     P = {(0, 0): np.full_like(x, 1.0 / np.sqrt(2.0))}
@@ -68,33 +66,6 @@ def _legendre_table(l_max, x):
                         / ((2.0 * l - 3.0) * (l * l - m * m)))
             P[(l, m)] = a * x * P[(l - 1, m)] - b * P[(l - 2, m)]
     return P
-
-
-def assoc_legendre_normalized(l, m, x):
-    """Orthonormal-convention Pbar_l^m(x), stable three-term recurrence.
-
-    Normalized so that int_{-1}^{1} Pbar_l^m(x)^2 dx = 1 and
-    Y_l^m = Pbar_l^m(cos theta) e^{im phi}/sqrt(2 pi) is L2-orthonormal.
-    """
-    if not (0 <= m <= l):
-        raise ValueError("need 0 <= m <= l, got l=%d m=%d" % (l, m))
-    xa = np.asarray(x, float)
-    if np.any(np.abs(xa) > 1.0 + 1e-14):
-        raise ValueError("argument outside [-1, 1]")
-    out = _legendre_table(l, np.clip(xa, -1.0, 1.0))[(l, m)]
-    return float(out) if np.isscalar(x) else out
-
-
-def sh_eval(l, m, theta, phi):
-    """Complex orthonormal Y_l^m at (theta, phi); m may be negative."""
-    if abs(m) > l:
-        raise ValueError("|m| must be <= l")
-    am = abs(m)
-    P = assoc_legendre_normalized(l, am, np.cos(theta))
-    val = P * np.exp(1j * am * np.asarray(phi)) / np.sqrt(2.0 * np.pi)
-    if m < 0:
-        val = (-1) ** am * np.conj(val)
-    return val
 
 
 # ------------------------------------------------------------ coefficients
@@ -345,39 +316,4 @@ def make_cover(seed, H=64, l_max=16, img_std=0.24):
     img = inverse_sht(ShCoefficients(data, l_max, real=True), H)
     img = 0.5 + (img - img.mean(axis=(0, 1))) * (img_std / img.std(axis=(0, 1)))
     return np.clip(img, 0.0, 1.0)
-
-
-# ------------------------------------------------------------ serialization
-
-_MAGIC = b"SPHC"
-_VERSION = 1
-
-
-def save_coefficients(c, path):
-    """Little-endian binary: header + <c16 (re, im) pairs, channel/l/m ascending."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III B", _VERSION, c.l_max, c.channels, int(c.real)))
-        fh.write(np.ascontiguousarray(c.data, "<c16").tobytes())
-
-
-def load_coefficients(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError("%s: bad magic, not a coefficient file" % path)
-    if len(raw) < 17:
-        raise ValueError("%s: truncated header" % path)
-    version, l_max, channels, real = struct.unpack_from("<III B", raw, 4)
-    if version != _VERSION:
-        raise ValueError("%s: unsupported version %d" % (path, version))
-    if channels not in (1, 3):
-        raise ValueError("%s: channels must be 1 or 3, got %d" % (path, channels))
-    if real not in (0, 1):
-        raise ValueError("%s: realness byte must be 0 or 1, got %d" % (path, real))
-    n = channels * n_coeffs(l_max)
-    if len(raw) != 17 + 16 * n:
-        raise ValueError("%s: truncated or oversized payload" % path)
-    data = np.frombuffer(raw, "<c16", offset=17).reshape(channels, n_coeffs(l_max))
-    return ShCoefficients(data.copy(), l_max, real=bool(real))
 

@@ -126,16 +126,6 @@ def bispectrum_cosine(v1, v2):
     return float(np.dot(x, y) / (nx * ny))
 
 
-def retained_energy_ratio(vec, l_c):
-    """Share of invariant energy on triplets lying fully at or below l_c."""
-    tot = float(np.sum(np.abs(vec.values) ** 2))
-    if tot == 0.0:
-        return 0.0
-    keep = sum(float(abs(v) ** 2)
-               for t, v in zip(vec.triplets, vec.values) if max(t) <= l_c)
-    return keep / tot
-
-
 def _flat_symmetric_noise(rng, l_max, channels):
     """Unit-variance conjugate-symmetric coefficient noise, all degrees."""
     return np.stack([harmonics._random_symmetric(rng, l_max, 0.0)

@@ -1,13 +1,12 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is derived from first principles (exact rational
-arithmetic, classical quadrature, closed forms) and deliberately avoids
-calling into the package beyond plain constants, so agreement is
-evidence rather than tautology.
+arithmetic, classical quadrature, closed forms) and imports nothing from
+the package, so agreement is evidence rather than tautology.
 """
 
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, factorial, pi, sqrt
 
 import numpy as np
 
@@ -95,14 +94,29 @@ def legendre_poly_norm(l, x):
     return np.sqrt((2 * l + 1) / 2.0) * p
 
 
+def ylm(l, m, theta, phi):
+    """Complex orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase,
+    by the closed form sqrt((2l+1)/4pi (l-m)!/(l+m)!) (-1)^m sin^m(theta)
+    P_l^(m)(cos theta) e^{i m phi} for m >= 0, where P_l^(m) is the m-th
+    derivative of the Legendre polynomial P_l (numpy's Legendre series, no
+    associated-Legendre recurrence), and Y_l^{-m} = (-1)^m conj(Y_l^m)."""
+    if abs(m) > l:
+        raise ValueError("|m| must be <= l")
+    am = abs(m)
+    leg = np.polynomial.legendre
+    dP = leg.legval(np.cos(theta), leg.legder([0] * l + [1], am))
+    norm = sqrt((2 * l + 1) / (4 * pi) * factorial(l - am) / factorial(l + am))
+    y = ((-1) ** am * norm * np.sin(theta) ** am * dP
+         * np.exp(1j * am * np.asarray(phi, float)))
+    return (-1) ** am * np.conj(y) if m < 0 else y
+
+
 def triple_product_integral(t, c1, c2, c3, n_theta=64, n_phi=129):
     """Quadrature oracle for the trivial-projection contraction.
 
     Computes int f1 f2 f3 dOmega for the band-pure functions synthesized
     from per-degree coefficient rows c_i on degree t[i] (complex, m
     ascending).  Gauss-Legendre in latitude, trapezoid in longitude."""
-    from sphmark import harmonics
-
     l1, l2, l3 = t
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x)
@@ -112,7 +126,7 @@ def triple_product_integral(t, c1, c2, c3, n_theta=64, n_phi=129):
     def synth(l, row):
         f = np.zeros(tg.shape, complex)
         for i, m in enumerate(range(-l, l + 1)):
-            f += row[i] * harmonics.sh_eval(l, m, tg, pg)
+            f += row[i] * ylm(l, m, tg, pg)
         return f
 
     f = synth(l1, c1) * synth(l2, c2) * synth(l3, c3)

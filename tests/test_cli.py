@@ -395,15 +395,24 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert cli.main(["extract", "--image", "synth:4"]) == 1
     # a malformed side file is a validation error that names the file
     (tmp_path / "bad.sig.json").write_text(
-        '{"format": "sphmark-signature", "version": 1, "alpha": 0.1}')
-    (tmp_path / "bad.sig.bin").write_bytes(b"SPHS\x01")
+        '{"format": "sphmark-signature", "version": 2, "alpha": 0.1}')
+    (tmp_path / "bad.sig.bin").write_bytes(b"SPHS\x02")
     assert cli.main(["extract", "--image", "synth:4",
                      "--side", str(tmp_path / "bad")]) == 1
     assert str(tmp_path / "bad.sig.json") in capsys.readouterr().err
+    # a version-1 side file is refused, with a message to re-embed
+    (tmp_path / "v1.sig.json").write_text(
+        '{"format": "sphmark-signature", "version": 1, "alpha": 0.1}')
+    assert cli.main(["extract", "--image", "synth:4",
+                     "--side", str(tmp_path / "v1")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % (tmp_path / "v1.sig.json"))
+    assert "version 1" in err and "re-embed" in err
     # so is a --config file that is not JSON, not a JSON object, or holds
     # a wrong-typed or unknown field, or a value CodecConfig rejects
     for name, text in (("broken.json", "{not json"), ("list.json", "[1, 2]"),
-                       ("typed.json", '{"k": "abc"}'), ("unknown.json", '{"bogus": 1}'),
+                       ("typed.json", '{"k": "abc"}'), ("bool.json", '{"k": true}'),
+                       ("unknown.json", '{"bogus": 1}'),
                        ("k0.json", '{"k": 0}'), ("groups.json", '{"groups": 5}')):
         cfg = tmp_path / name
         cfg.write_text(text)

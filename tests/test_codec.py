@@ -717,7 +717,7 @@ def test_embed_validation_errors():
     with pytest.raises(ValueError):
         extract_nonblind(np.zeros((64, 128)), SignatureSet(
             CodecConfig(), 1.0, np.zeros(feature_length()),
-            np.zeros((32, feature_length())), np.zeros((3, 289), complex),
+            np.zeros((32, feature_length())),
             np.zeros((3, 289), complex)))             # degenerate directions
 
 
@@ -770,12 +770,13 @@ def test_embedding_mask_composition():
 # ------------------------------------------------------------ side info
 
 def _sig_bin_stacked(side):
-    # the np.stack([re, im]) .sig.bin writer the <c16 one replaced
-    out = [b"SPHS" + struct.pack("<I", 1)]
-    out += [np.ascontiguousarray(a, "<f8").tobytes()
-            for a in (side.z0, side.directions)]
-    out += [np.ascontiguousarray(np.stack([a.real, a.imag], axis=-1), "<f8").tobytes()
-            for a in (side.cover_coeffs, side.delta_coeffs)]
+    # the np.stack([re, im]) .sig.bin writer the <c16 one replaced, with
+    # the version-2 header
+    a = side.cover_coeffs
+    out = [b"SPHS" + struct.pack("<I", 2)]
+    out += [np.ascontiguousarray(x, "<f8").tobytes()
+            for x in (side.z0, side.directions)]
+    out.append(np.ascontiguousarray(np.stack([a.real, a.imag], axis=-1), "<f8").tobytes())
     return b"".join(out)
 
 
@@ -791,7 +792,7 @@ def test_signature_save_load_round_trip(tmp_path, clean_embed):
     assert np.array_equal(back.z0, side.z0)
     assert np.array_equal(back.directions, side.directions)
     assert np.array_equal(back.cover_coeffs, side.cover_coeffs)
-    assert np.array_equal(back.delta_coeffs, side.delta_coeffs)
+    assert json.loads((tmp_path / "img.sig.json").read_text())["version"] == 2
     # suffixed paths resolve to the same base
     again = SignatureSet.load(str(base) + ".sig.json")
     assert np.array_equal(again.z0, side.z0)
@@ -818,7 +819,8 @@ def test_signature_load_errors(tmp_path, clean_embed):
     bb.write_bytes(raw + b"\0" * 8)
     with pytest.raises(ValueError, match=bpat + ".*truncated or oversized"):
         SignatureSet.load(base)
-    for bad in (b"XXXX" + raw[4:], raw[:5]):
+    # a version-1 header under a version-2 .sig.json is a mismatch too
+    for bad in (b"XXXX" + raw[4:], raw[:5], raw[:4] + struct.pack("<I", 1) + raw[8:]):
         bb.write_bytes(bad)
         with pytest.raises(ValueError, match=bpat + ".*header"):
             SignatureSet.load(base)
@@ -831,10 +833,25 @@ def test_signature_load_errors(tmp_path, clean_embed):
              for f in ("config", "alpha", "feature_length")]
     cases += [
         (dict(good, config=dict(good["config"], k="abc")), "field k must be int"),
+        # a bool is no number, and an embed degree is a plain integer
+        (dict(good, config=dict(good["config"], k=True)), "field k must be int"),
+        (dict(good, config=dict(good["config"], channels=True)),
+         "field channels must be int"),
+        (dict(good, config=dict(good["config"], alpha=True)),
+         "field alpha must be float"),
+        (dict(good, config=dict(good["config"], L_embed=[6.5, 8, 14])),
+         "field L_embed must be tuple"),
+        (dict(good, config=dict(good["config"], L_embed=["6", 8, 14])),
+         "field L_embed must be tuple"),
+        (dict(good, config=dict(good["config"], L_embed=[True, 8, 14])),
+         "field L_embed must be tuple"),
         (dict(good, config=[1, 2]), "config must be a mapping"),
         (dict(good, alpha="abc"), "could not convert"),
         (dict(good, alpha=-1.0), "strength must be positive"),
         (dict(good, feature_length="abc"), "invalid literal for int()"),
+        # version 1 also held the coefficient change; it is refused, not read
+        (dict(good, version=1), "side file version 1 is no longer read; re-embed"),
+        (dict(good, version=3), "not a recognized signature file"),
     ]
     for obj, fault in cases:
         js.write_text(json.dumps(obj))
@@ -848,11 +865,11 @@ def test_signature_load_errors(tmp_path, clean_embed):
 def test_signature_validate_errors(clean_embed):
     _, _, _, side = clean_embed
     bad = SignatureSet(side.config, -1.0, side.z0, side.directions,
-                       side.cover_coeffs, side.delta_coeffs)
+                       side.cover_coeffs)
     with pytest.raises(ValueError):
         bad.validate()
     bad2 = SignatureSet(side.config, side.alpha, side.z0[:-1],
-                        side.directions, side.cover_coeffs, side.delta_coeffs)
+                        side.directions, side.cover_coeffs)
     with pytest.raises(ValueError):
         bad2.validate()
 

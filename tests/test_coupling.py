@@ -5,9 +5,8 @@ import pytest
 
 from sphmark import coupling, harmonics, so3
 from sphmark.coupling import (
-    BispectrumVector, admissible_triplets, bispectrum_component,
-    bispectrum_vector, log_factorial, power_spectrum_features,
-    trivial_projection_coeff, wigner_3j,
+    BispectrumVector, admissible_triplets, bispectrum_vector,
+    power_spectrum_features, threej_table, wigner_3j,
 )
 
 from oracles import triple_product_integral, wigner3j_exact
@@ -21,15 +20,6 @@ def _sym_row(rng, l, scale=1.0):
         row[l + m] = z
         row[l - m] = (-1) ** m * np.conj(z)
     return row
-
-
-def test_log_factorial_against_lgamma():
-    for n in range(0, 301, 7):
-        assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), abs=1e-10)
-    with pytest.raises(ValueError):
-        log_factorial(301)
-    with pytest.raises(ValueError):
-        log_factorial(-1)
 
 
 def test_wigner_3j_known_values():
@@ -97,10 +87,18 @@ def test_wigner_3j_orthogonality():
 
 def test_trivial_projection_dc_value():
     # all-zero triplet: prefactor 1/sqrt(4pi) times two unit 3j symbols
-    assert trivial_projection_coeff((0, 0, 0), 0, 0, 0) == pytest.approx(
-        1 / math.sqrt(4 * math.pi))
-    assert trivial_projection_coeff((0, 0, 0), 0, 0, 0) == pytest.approx(
-        0.2820947917738781)
+    C = coupling._projection_table((0, 0, 0))
+    assert C.shape == (1, 1)
+    assert C[0, 0] == pytest.approx(1 / math.sqrt(4 * math.pi))
+    assert C[0, 0] == pytest.approx(0.2820947917738781)
+
+
+def test_racah_refuses_degrees_past_log_factorial_table():
+    # l1 + l2 + l3 + 1 must index the 0..300 log-factorial table
+    with pytest.raises(ValueError, match="exceed the log-factorial table"):
+        wigner_3j(100, 100, 100, 0, 0, 0)
+    with pytest.raises(ValueError, match="exceed the log-factorial table"):
+        threej_table(100, 100, 100)
 
 
 def test_contraction_matches_quadrature_integral():
@@ -184,8 +182,7 @@ def test_bispectrum_phase_sensitivity_witness():
     assert np.allclose(power_spectrum_features(c, range(7)),
                        power_spectrum_features(c2, range(7)))
     t = (2, 2, 2)
-    a = bispectrum_component(c, t)
-    b = bispectrum_component(c2, t)
+    a, b = (bispectrum_vector(x, [t]).values[0] for x in (c, c2))
     assert abs(a) > 1e-6
     assert b == pytest.approx(-a)
 
@@ -247,21 +244,6 @@ def test_bispectrum_vector_container():
         BispectrumVector([(1, 1, 2)], [1.0, 2.0])
     empty = BispectrumVector([], [])
     assert len(empty) == 0 and empty.total == 0j
-
-
-def test_bispectrum_to_csv(tmp_path):
-    c = harmonics.synth_random_bandlimited(6, seed=1)
-    trips = admissible_triplets({2, 4}, 6)
-    vec = bispectrum_vector(c, trips)
-    p = tmp_path / "b.csv"
-    coupling.bispectrum_to_csv(vec, p)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "l1,l2,l3,re,im"
-    assert len(lines) == 1 + len(trips)
-    for line, t, val in zip(lines[1:], trips, vec.values):
-        f = line.split(",")
-        assert tuple(int(v) for v in f[:3]) == t
-        assert float(f[3]) == pytest.approx(val.real, rel=1e-10, abs=1e-12)
 
 
 def test_projection_tables_are_immutable():
@@ -378,7 +360,7 @@ def test_bispectrum_vector_edge_triplets():
     # odd parity: all of C is 0; the triplet still owns its entries, so it
     # sums to an exact 0 and does not read its neighbour's segment
     v = bispectrum_vector(c, [(1, 1, 1), (2, 2, 2)]).values
-    assert v[0] == 0 and v[1] == bispectrum_component(c, (2, 2, 2)) != 0
+    assert v[0] == 0 and v[1] == bispectrum_vector(c, [(2, 2, 2)]).values[0] != 0
     empty = bispectrum_vector(c, [])
     assert len(empty) == 0 and empty.values.shape == (0,)
     # legs in any order, as _contract reads them

@@ -8,34 +8,16 @@ from sphmark import grid
 from oracles import sample_bilinear_fancy_index
 
 
-def test_pixel_center_direction_known_values():
-    theta, phi = grid.pixel_center_direction(0, 0, 2)
-    assert theta == pytest.approx(np.pi / 4)
-    assert phi == pytest.approx(np.pi / 4)
-    # last pixel of a 4-row grid
-    theta, phi = grid.pixel_center_direction(3, 7, 4)
-    assert theta == pytest.approx(np.pi * 3.5 / 4)
-    assert phi == pytest.approx(2 * np.pi * 7.5 / 8)
-
-
-def test_pixel_center_direction_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        grid.pixel_center_direction(4, 0, 4)
-    with pytest.raises(ValueError):
-        grid.pixel_center_direction(0, 8, 4)
-    with pytest.raises(ValueError):
-        grid.pixel_center_direction(-1, 0, 4)
-
-
 def test_grid_angles_match_pixel_centers():
-    H = 6
-    theta, phi = grid.grid_angles(H)
-    rows = np.arange(H)
-    cols = np.arange(2 * H)
-    t2, _ = grid.pixel_center_direction(rows, np.zeros_like(rows), H)
-    _, p2 = grid.pixel_center_direction(np.zeros_like(cols), cols, H)
-    assert np.allclose(theta, t2)
-    assert np.allclose(phi, p2)
+    # theta = pi (row + 1/2) / H, phi = 2 pi (col + 1/2) / 2H
+    theta, phi = grid.grid_angles(2)
+    assert theta[0] == pytest.approx(np.pi / 4)
+    assert phi[0] == pytest.approx(np.pi / 4)
+    # last pixel of a 4-row grid
+    theta, phi = grid.grid_angles(4)
+    assert theta.shape == (4,) and phi.shape == (8,)
+    assert theta[3] == pytest.approx(np.pi * 3.5 / 4)
+    assert phi[7] == pytest.approx(2 * np.pi * 7.5 / 8)
 
 
 def test_grid_directions_unit_norm():

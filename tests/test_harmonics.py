@@ -1,5 +1,3 @@
-import re
-import struct
 import warnings
 
 import numpy as np
@@ -7,76 +5,64 @@ import pytest
 
 from sphmark import grid, harmonics
 from sphmark.harmonics import (
-    ShCoefficients, SymmetryError, assoc_legendre_normalized, coeff_index,
-    forward_sht, inverse_sht, make_cover, n_coeffs, sh_eval,
-    synth_random_bandlimited,
+    ShCoefficients, SymmetryError, coeff_index, forward_sht, inverse_sht,
+    make_cover, n_coeffs, synth_random_bandlimited,
 )
 
-from oracles import gauss_legendre_integral, legendre_poly_norm
+from oracles import gauss_legendre_integral, legendre_poly_norm, ylm
+
+
+def _pbar(l, m, x):
+    # the transform's own Legendre table, one (l, m) entry
+    return harmonics._legendre_table(l, np.asarray(x, float))[(l, m)]
 
 
 def test_assoc_legendre_closed_forms():
     x = np.linspace(-1, 1, 7)
     s = np.sqrt(1 - x * x)
-    assert np.allclose(assoc_legendre_normalized(0, 0, x), 1 / np.sqrt(2))
-    assert np.allclose(assoc_legendre_normalized(1, 0, x), np.sqrt(1.5) * x)
+    assert np.allclose(_pbar(0, 0, x), 1 / np.sqrt(2))
+    assert np.allclose(_pbar(1, 0, x), np.sqrt(1.5) * x)
     # Condon-Shortley: odd m carries the minus sign
-    assert np.allclose(assoc_legendre_normalized(1, 1, x), -np.sqrt(3) / 2 * s)
-    assert np.allclose(assoc_legendre_normalized(2, 0, x),
-                       np.sqrt(2.5) * (3 * x * x - 1) / 2)
-    assert np.allclose(assoc_legendre_normalized(2, 2, x),
-                       np.sqrt(15) / 4 * s * s)
+    assert np.allclose(_pbar(1, 1, x), -np.sqrt(3) / 2 * s)
+    assert np.allclose(_pbar(2, 0, x), np.sqrt(2.5) * (3 * x * x - 1) / 2)
+    assert np.allclose(_pbar(2, 2, x), np.sqrt(15) / 4 * s * s)
 
 
 def test_assoc_legendre_matches_plain_recurrence_oracle():
     x = np.linspace(-1, 1, 33)
     for l in range(0, 17):
-        assert np.allclose(assoc_legendre_normalized(l, 0, x),
-                           legendre_poly_norm(l, x), atol=1e-12)
+        assert np.allclose(_pbar(l, 0, x), legendre_poly_norm(l, x), atol=1e-12)
 
 
 def test_assoc_legendre_unit_norm_by_quadrature():
     # int_{-1}^{1} Pbar_l^m(x)^2 dx = 1 for every (l, m)
     for l in range(0, 17, 4):
         for m in range(0, l + 1, max(1, l // 3)):
-            v = gauss_legendre_integral(
-                lambda x, l=l, m=m: assoc_legendre_normalized(l, m, x) ** 2)
+            v = gauss_legendre_integral(lambda x, l=l, m=m: _pbar(l, m, x) ** 2)
             assert abs(v - 1.0) < 1e-10, (l, m, v)
 
 
 def test_assoc_legendre_cross_orthogonality():
     for m in (0, 2):
         v = gauss_legendre_integral(
-            lambda x, m=m: (assoc_legendre_normalized(4, m, x)
-                            * assoc_legendre_normalized(6, m, x)))
+            lambda x, m=m: _pbar(4, m, x) * _pbar(6, m, x))
         assert abs(v) < 1e-12
 
 
-def test_assoc_legendre_domain_errors():
-    with pytest.raises(ValueError):
-        assoc_legendre_normalized(2, 3, 0.0)
-    with pytest.raises(ValueError):
-        assoc_legendre_normalized(2, -1, 0.0)
-    with pytest.raises(ValueError):
-        assoc_legendre_normalized(2, 0, 1.5)
-
-
-def test_assoc_legendre_scalar_in_scalar_out():
-    v = assoc_legendre_normalized(3, 1, 0.25)
-    assert isinstance(v, float)
-
-
-def test_sh_eval_known_values():
-    assert sh_eval(0, 0, 0.7, 1.3) == pytest.approx(1 / np.sqrt(4 * np.pi))
-    assert sh_eval(1, 0, 0.0, 0.0) == pytest.approx(np.sqrt(3 / (4 * np.pi)))
+def test_ylm_oracle_known_values():
+    assert ylm(0, 0, 0.7, 1.3) == pytest.approx(1 / np.sqrt(4 * np.pi))
+    assert ylm(1, 0, 0.0, 0.0) == pytest.approx(np.sqrt(3 / (4 * np.pi)))
+    # Y_1^1 = -sqrt(3/8pi) sin(theta) e^{i phi}: the Condon-Shortley sign
+    assert ylm(1, 1, 0.9, 0.4) == pytest.approx(
+        -np.sqrt(3 / (8 * np.pi)) * np.sin(0.9) * np.exp(0.4j))
     # negative m mirrors: Y_l^{-m} = (-1)^m conj(Y_l^m)
     th, ph = 1.1, 2.3
     for l, m in [(1, 1), (3, 2), (5, 5)]:
-        a = sh_eval(l, -m, th, ph)
-        b = (-1) ** m * np.conj(sh_eval(l, m, th, ph))
+        a = ylm(l, -m, th, ph)
+        b = (-1) ** m * np.conj(ylm(l, m, th, ph))
         assert a == pytest.approx(b)
     with pytest.raises(ValueError):
-        sh_eval(1, 2, 0.0, 0.0)
+        ylm(1, 2, 0.0, 0.0)
 
 
 def test_sh_orthonormality_on_grid():
@@ -85,7 +71,7 @@ def test_sh_orthonormality_on_grid():
     theta, phi = grid.grid_angles(H)
     tg, pg = np.meshgrid(theta, phi, indexing="ij")
     w = grid.quadrature_weights(H)[:, None] * np.ones(2 * H)[None, :]
-    basis = np.array([sh_eval(l, m, tg, pg).ravel()
+    basis = np.array([ylm(l, m, tg, pg).ravel()
                       for l in range(l_max + 1) for m in range(-l, l + 1)])
     G = (basis * w.ravel()) @ basis.conj().T
     assert np.abs(G - np.eye(n_coeffs(l_max))).max() < 1e-6
@@ -175,7 +161,7 @@ def test_parseval_on_working_grid():
 
 
 def test_synthesis_matches_pointwise_sum():
-    # inverse_sht against the naive sum over sh_eval at pixel centers
+    # inverse_sht against the naive sum over the Y_lm oracle at pixel centers
     l_max, H = 4, 16
     c = synth_random_bandlimited(l_max, seed=3)
     img = inverse_sht(c, H)
@@ -184,7 +170,7 @@ def test_synthesis_matches_pointwise_sum():
     ref = np.zeros(tg.shape, complex)
     for l in range(l_max + 1):
         for m in range(-l, l + 1):
-            ref += c.data[0, coeff_index(l, m)] * sh_eval(l, m, tg, pg)
+            ref += c.data[0, coeff_index(l, m)] * ylm(l, m, tg, pg)
     assert np.abs(ref.imag).max() < 1e-12
     assert np.abs(ref.real - img).max() < 1e-10
 
@@ -436,59 +422,4 @@ def test_make_cover_statistics_and_determinism():
     assert not np.array_equal(x, make_cover(301))
     y = make_cover(1, H=32)
     assert y.shape == (32, 64, 3)
-
-
-def _save_coefficients_interleaved(c, path):
-    # the manual (re, im) interleave the <c16 writer replaced; reference only
-    with open(path, "wb") as fh:
-        fh.write(harmonics._MAGIC)
-        fh.write(struct.pack("<III B", harmonics._VERSION, c.l_max, c.channels,
-                             int(c.real)))
-        flat = np.empty(c.channels * n_coeffs(c.l_max) * 2)
-        flat[0::2] = c.data.real.ravel()
-        flat[1::2] = c.data.imag.ravel()
-        fh.write(flat.astype("<f8").tobytes())
-
-
-def test_coefficients_serialization_round_trip(tmp_path):
-    for c in (synth_random_bandlimited(10, seed=17), forward_sht(make_cover(2), 16)):
-        p = tmp_path / "c.shc"
-        harmonics.save_coefficients(c, p)
-        _save_coefficients_interleaved(c, tmp_path / "ref.shc")
-        assert p.read_bytes() == (tmp_path / "ref.shc").read_bytes()
-        d = harmonics.load_coefficients(p)
-        assert d.l_max == c.l_max and d.channels == c.channels and d.real == c.real
-        assert np.array_equal(d.data, c.data)
-        d.data[0, 0] = 1.0                    # a loaded block is the caller's
-
-
-def test_coefficients_serialization_errors(tmp_path):
-    c = synth_random_bandlimited(3, seed=0)
-    p = tmp_path / "c.shc"
-    harmonics.save_coefficients(c, p)
-    raw = p.read_bytes()
-
-    bad_magic = tmp_path / "m.shc"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        harmonics.load_coefficients(bad_magic)
-
-    bad_version = tmp_path / "v.shc"
-    bad_version.write_bytes(raw[:4] + b"\x63" + raw[5:])
-    with pytest.raises(ValueError, match="version"):
-        harmonics.load_coefficients(bad_version)
-
-    malformed = tmp_path / "t.shc"
-    for bad, fault in [(raw[:-8], "truncated or oversized payload"),
-                       (raw + b"\0" * 16, "truncated or oversized payload"),
-                       (raw[:6], "truncated header"),
-                       (raw[:12] + struct.pack("<I", 2) + raw[16:],
-                        "channels must be 1 or 3, got 2"),
-                       (raw[:12] + struct.pack("<I", 0) + raw[16:],
-                        "channels must be 1 or 3, got 0"),
-                       (raw[:16] + b"\x07" + raw[17:],
-                        "realness byte must be 0 or 1, got 7")]:
-        malformed.write_bytes(bad)
-        with pytest.raises(ValueError, match=re.escape(str(malformed)) + ": " + fault):
-            harmonics.load_coefficients(malformed)
 

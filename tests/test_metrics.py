@@ -5,8 +5,7 @@ import scipy.ndimage
 from sphmark import coupling, harmonics, metrics
 from sphmark.coupling import BispectrumVector, admissible_triplets, bispectrum_vector
 from sphmark.metrics import (
-    bispectrum_cosine, bit_accuracy, noise_bias_fit, psnr,
-    retained_energy_ratio, ssim,
+    bispectrum_cosine, bit_accuracy, noise_bias_fit, psnr, ssim,
 )
 
 
@@ -104,15 +103,6 @@ def test_bispectrum_cosine_cases():
                              np.ones(len(admissible_triplets({6, 8}, 16))))
     with pytest.raises(ValueError):
         bispectrum_cosine(v, other)
-
-
-def test_retained_energy_ratio():
-    vec = BispectrumVector([(2, 2, 2), (2, 4, 6)], [1.0, 2.0])
-    assert retained_energy_ratio(vec, 2) == pytest.approx(0.2)
-    assert retained_energy_ratio(vec, 6) == pytest.approx(1.0)
-    assert retained_energy_ratio(vec, 1) == 0.0
-    empty = BispectrumVector([], [])
-    assert retained_energy_ratio(empty, 3) == 0.0
 
 
 def _flat_symmetric_noise_loop(rng, l_max, channels):

@@ -13,9 +13,11 @@ def _little_d_factorial(l, beta):
     """The former little_d, kept as a reference: explicit factorial sum with
     log-factorial magnitudes, corner cases beta = 0 or pi handled exactly.
     Loses accuracy fast above l ~ 16 (alternating terms)."""
+    def lf(n):  # ln(n!)
+        return math.lgamma(n + 1)
+
     d = np.zeros((2 * l + 1, 2 * l + 1))
     cb, sb = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    lf = coupling.log_factorial
     for mp in range(-l, l + 1):
         for m in range(-l, l + 1):
             pref = 0.5 * (lf(l + mp) + lf(l - mp) + lf(l + m) + lf(l - m))
