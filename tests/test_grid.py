@@ -8,16 +8,29 @@ from sphmark import grid
 from oracles import sample_bilinear_fancy_index
 
 
-def test_grid_angles_match_pixel_centers():
-    # theta = pi (row + 1/2) / H, phi = 2 pi (col + 1/2) / 2H
+def test_pixel_center_direction_known_values():
     theta, phi = grid.grid_angles(2)
     assert theta[0] == pytest.approx(np.pi / 4)
     assert phi[0] == pytest.approx(np.pi / 4)
+    # first pixel of a 2-row grid: theta = phi = pi/4
+    s = np.sqrt(0.5)
+    assert np.allclose(grid.grid_directions(2)[0, 0], [s * s, s * s, s])
     # last pixel of a 4-row grid
     theta, phi = grid.grid_angles(4)
-    assert theta.shape == (4,) and phi.shape == (8,)
     assert theta[3] == pytest.approx(np.pi * 3.5 / 4)
     assert phi[7] == pytest.approx(2 * np.pi * 7.5 / 8)
+    t, p = np.pi * 3.5 / 4, 2 * np.pi * 7.5 / 8
+    assert np.allclose(grid.grid_directions(4)[3, 7],
+                       [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+
+
+def test_grid_angles_match_pixel_centers():
+    # theta = pi (row + 1/2) / H, phi = 2 pi (col + 1/2) / 2H
+    H = 6
+    theta, phi = grid.grid_angles(H)
+    assert theta.shape == (H,) and phi.shape == (2 * H,)
+    assert np.allclose(theta, np.pi * (np.arange(H) + 0.5) / H)
+    assert np.allclose(phi, 2 * np.pi * (np.arange(2 * H) + 0.5) / (2 * H))
 
 
 def test_grid_directions_unit_norm():
