@@ -75,7 +75,11 @@ def build_config(args):
         if v is not None:
             base[name] = v
     if getattr(args, "l_embed", None):
-        base["L_embed"] = [int(t) for t in args.l_embed.split(",")]
+        try:
+            base["L_embed"] = [int(t) for t in args.l_embed.split(",")]
+        except ValueError:
+            raise ValueError("--l-embed must be comma-separated integer "
+                             "degrees, got %r" % args.l_embed)
     if getattr(args, "no_geometric_mask", False):
         base["use_geometric_mask"] = False
     if getattr(args, "no_texture_mask", False):

@@ -44,6 +44,12 @@ class CodecConfig:
     context_pairs: int = 16
 
     def __post_init__(self):
+        # each field's type first, so that no value is reinterpreted below
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _is_field_value(f.type, v):
+                raise ValueError("config field %s must be %s, got %r"
+                                 % (f.name, f.type.__name__, v))
         object.__setattr__(self, "L_embed",
                            tuple(sorted(set(int(l) for l in self.L_embed))))
         if not self.L_embed:
@@ -88,18 +94,13 @@ def config_to_dict(cfg):
 
 
 def check_config_fields(d):
-    """Reject a non-mapping, unknown field names and wrong-typed values;
-    the rules across fields are CodecConfig's."""
+    """Reject a non-mapping and unknown field names; the type and value
+    rules are CodecConfig's."""
     if not isinstance(d, dict):
         raise ValueError("config must be a mapping, got %s" % type(d).__name__)
-    known = {f.name: f.type for f in fields(CodecConfig)}
-    bad = sorted(str(n) for n in set(d) - set(known))
+    bad = sorted(str(n) for n in set(d) - {f.name for f in fields(CodecConfig)})
     if bad:
         raise ValueError("unknown config keys: %s" % ", ".join(bad))
-    for name, v in d.items():
-        if not _is_field_value(known[name], v):
-            raise ValueError("config field %s must be %s, got %r"
-                             % (name, known[name].__name__, v))
 
 
 def _is_field_value(kind, v):
@@ -380,17 +381,17 @@ def _context_rows(bank, data):
 def _context(bank, data):
     """The part of the features that only the non-embed degrees set: yield
     (ti, l, groups, W) per triplet ti and keyed slot holding groups, l the
-    slot's degree, where W[x, p] is the context coupling (l, o1, o2) of
-    group groups[x], pair p, with the keyed leg free.  Every pair couples
-    two of the n_ctx rows, so one GEMM couples all of them, once for the
-    slots of one degree, and the pairs are gathered from it.  Lazy, so one
-    W is alive at a time."""
+    slot's degree, where W[x, p] is the half-plane context coupling (l,
+    o1, o2) of group groups[x], pair p, with the keyed leg free on its
+    orders m >= 0.  Every pair couples two of the n_ctx rows, so one GEMM
+    couples all of them, once for the slots of one degree, and the pairs
+    are gathered from it.  Lazy, so one W is alive at a time."""
     rows = _context_rows(bank, data)
     for ti, tp, _, uses in bank.keyed:
         if not uses:
             continue
         o1, o2 = tp[1:]
-        M = coupling._projection_table(tp) * coupling._hankel(tp, rows[o2])
+        M = coupling._half_plane(tp, rows[o2])
         # W[b, i, a]: row a on leg o1, row b on leg o2
         W = (M.reshape(-1, M.shape[-1]) @ rows[o1].T).reshape(M.shape[:2] + (-1,))
         for g, pairs in uses:
@@ -409,7 +410,8 @@ def _pure(bank, data):
     channels, n_coeffs): (..., G, len(trips)).  C^{0,0} is trilinear and a
     group mix is linear in the channels, so the channels are coupled once,
     (..., ch, ch, ch) per triplet, and each group applies its three mix
-    rows to that."""
+    rows to that.  Leg 1 runs over its orders m >= 0 only
+    (coupling._half_plane)."""
     blk = {l: data[..., l * l:(l + 1) * (l + 1)] for l in bank.L_embed}
     sw = {l: bank.sw[:, li, :] for li, l in enumerate(bank.L_embed)}
     out = []
@@ -418,9 +420,8 @@ def _pure(bank, data):
         # C[i, j] b3[..., c3] at m3 = -m1-m2, then one matmul per leg: leg 2
         # gives A[..., c3, i, c2], leg 1 K[..., c3, c1, c2]; only the real
         # part of K reaches a real mix
-        A = ((coupling._projection_table(t) * coupling._hankel(t, blk[l3]))
-             @ blk[l2][..., None, :, :].swapaxes(-1, -2))
-        K = (blk[l1][..., None, :, :] @ A).real
+        A = coupling._half_plane(t, blk[l3]) @ blk[l2][..., None, :, :].swapaxes(-1, -2)
+        K = (blk[l1][..., None, :, l1:] @ A).real
         S = np.einsum("gi,gj,gk->gijk", sw[l3], sw[l1], sw[l2]).reshape(bank.G, -1)
         out.append(K.reshape(K.shape[:-3] + (-1,)) @ S.T)
     return np.stack(out, axis=-1)
@@ -430,12 +431,14 @@ def _placements(bank, Y, Q):
     """First-order change of the pure couplings of the group mixes Y when
     the batch Q (..., G, 2l+1) is placed on one leg, summed over the three
     legs: (..., G, len(trips)).  C^{0,0} is symmetric in its legs, so the
-    placed leg goes first, the other two are contracted once, and slots
-    of one degree add the same change."""
+    placed leg goes first, on its orders m >= 0 (coupling._half_plane),
+    the other two are contracted once, and slots of one degree add the same
+    change."""
     out = np.zeros(Q[bank.L_embed[0]].shape[:-1] + (len(bank.trips),))
     for ti, tp, n, _ in bank.keyed:
-        W = coupling._contract(tp, None, Y[tp[1]], Y[tp[2]])
-        dz = np.einsum("...gi,gi->...g", Q[tp[0]], W).real
+        l = tp[0]
+        W = np.einsum("...ij,...j->...i", coupling._half_plane(tp, Y[tp[2]]), Y[tp[1]])
+        dz = np.einsum("...gi,gi->...g", Q[l][..., l:], W).real
         # once per slot, in slot order (keyed lists a triplet's degrees in
         # ascending order), so the sum rounds as one add per slot does
         for _ in range(n):
@@ -453,16 +456,27 @@ def _keyed(bank, ctx, Y, pure):
     out[..., :T] = pure
     ctxf = out[..., T:].reshape(pure.shape + (bank.n_pairs,))
     for ti, l, g, W in ctx:
-        # one (rows x 2l+1) @ (2l+1 x n_pairs) product per group
-        Yg = Y[l][..., g, :].reshape((-1, g.size, 2 * l + 1)).swapaxes(0, 1)
+        # one (rows x l+1) @ (l+1 x n_pairs) product per group
+        Yg = Y[l][..., g, l:].reshape((-1, g.size, l + 1)).swapaxes(0, 1)
         R = (Yg @ W.swapaxes(-1, -2)).real
         ctxf[..., g, ti, :] = R.swapaxes(0, 1).reshape(lead + (g.size, -1))
     return out.reshape(lead + (-1,))
 
 
+def _check_real_sets(data):
+    """Refuse coefficient sets that are not conjugate symmetric within 1e-9,
+    as a real image's are: the keyed features sum half the (m1, m2) plane
+    and take the real part, which holds only for them (ValueError)."""
+    dev = harmonics.symmetry_deviation(data)
+    if not dev <= 1e-9:  # NaN fails too
+        raise ValueError("coefficient sets must be conjugate symmetric (those "
+                         "of a real image): deviation %.3e > 1e-09" % dev)
+
+
 def features_from_coeffs(c, cfg=None):
-    """Features (..., n_features) of sets (..., channels, n_coeffs) sharing
-    their non-embed degrees (else ValueError): one context, from the first."""
+    """Features (..., n_features) of conjugate-symmetric sets (...,
+    channels, n_coeffs) sharing their non-embed degrees (else ValueError):
+    one context, from the first."""
     cfg = cfg or CodecConfig()
     if isinstance(c, harmonics.ShCoefficients):
         if c.l_max != cfg.l_max:
@@ -472,6 +486,7 @@ def features_from_coeffs(c, cfg=None):
         data = np.atleast_2d(np.asarray(c, complex))
     if data.shape[-2:] != (cfg.channels, harmonics.n_coeffs(cfg.l_max)):
         raise ValueError("coefficient shape %r does not match config" % (data.shape,))
+    _check_real_sets(data)
     flat = data.reshape((-1,) + data.shape[-2:])
     if (flat[1:] != flat[0])[..., ~_embed_band_mask(cfg)].any():
         raise ValueError("coefficient sets differ on a non-embed degree")
@@ -596,9 +611,11 @@ def _embed_strength(data, cfg):
 
 
 def make_signature(cover_coeffs, key, cfg, alpha=None):
-    """Signature for given cover coefficients under a candidate key."""
+    """Signature for given conjugate-symmetric cover coefficients under a
+    candidate key."""
     cfg = cfg or CodecConfig()
     data = np.atleast_2d(np.asarray(cover_coeffs, complex))
+    _check_real_sets(data)
     bank = _bank(cfg)
     a = alpha if alpha is not None else _embed_strength(data, cfg)
     z0, d = _signature(bank, data, generate_patterns(key, cfg), a)
@@ -659,6 +676,51 @@ def _embed_band_mask(cfg):
     return emb
 
 
+def _mask_operator(M, l_max, idx):
+    """The linear map A, (n, n) complex, with which the embed-degree
+    analysis of the masked synthesis M * F^-1(dc) reads dc @ A.T, for dc
+    conjugate symmetric and supported on the n flat coefficient indices
+    idx (whole degree blocks), and M (H, 2H) real.
+
+    A_ij = sum_theta Pa_i(theta) Ps_j(theta) mom(theta, m_j - m_i), with
+    Pa and Ps the transform plan's analysis and synthesis rows of
+    coefficients i and j ((-1)^m for m < 0), and mom(theta, q) =
+    sum_phi M e^{i q phi} the longitude moments of the mask, from one
+    (H, W) x (W, 2 q_max + 1) product of M with [cos | sin] (MASTER's
+    mode-coupling matrix; Hivon et al., ApJ 567:2, 2002).  The rows of
+    one order m_i >= 0 read the same moments, so each such order is one
+    real GEMM over theta, and no (H, n, n) temporary exists; M is real,
+    so the rows of -m_i are their mirror, A at (-m_i, -m_j) being
+    (-1)^(m_i + m_j) conj A at (m_i, m_j)."""
+    H = M.shape[0]
+    p = harmonics._plan(H, l_max)
+    l = np.sqrt(idx).astype(int)
+    m = idx - l * l - l
+    sgn = (-1.0) ** m
+    flip = np.where(m < 0, sgn, 1.0)[:, None]
+    Pa = p.Pa[np.abs(m), l] * flip
+    Ps = np.ascontiguousarray((p.Ps[np.abs(m), l] * flip).T)
+    top = int(l.max())
+    q = 2 * top
+    qphi = np.outer(grid.grid_angles(H)[1], np.arange(q + 1))
+    R = M @ np.concatenate([np.cos(qphi), np.sin(qphi[:, 1:])], axis=1)
+    mom = np.empty((H, 2 * q + 1), complex)  # column q + (m_j - m_i)
+    mom[:, q:] = R[:, :q + 1]
+    mom.imag[:, q + 1:] = R[:, q + 1:]
+    mom[:, :q] = np.conj(mom[:, :q:-1])      # M is real: mom(-D) = conj mom(D)
+    A = np.empty((idx.size, idx.size), complex)
+    for mi in range(top + 1):
+        rows = np.flatnonzero(m == mi)
+        K = mom.take(m - mi + q, axis=1)
+        K *= Ps
+        # a real GEMM on the (re, im) pairs of K
+        A[rows] = (Pa[rows] @ K.view(float)).view(complex)
+    mirror = np.searchsorted(idx, 2 * (l * l + l) - idx)
+    low = m < 0
+    A[low] = sgn[low, None] * sgn * np.conj(A[mirror[low]][:, mirror])
+    return A
+
+
 def embed(cover, payload_bits, key, cfg=None):
     """Embed k payload bits; returns (stego image, SignatureSet).
 
@@ -688,13 +750,23 @@ def embed(cover, payload_bits, key, cfg=None):
     Mb = M if x.ndim == 2 else M[..., None]
     mbar = float(M.mean())
     emb = _embed_band_mask(cfg)
-    dc = target / mbar
+    # the fixed-point steps run on the embed coefficients alone, through
+    # the operator that the masked round trip applies to them
+    t = target[:, emb]
+    dc_emb = t / mbar
     iters = cfg.compensation_iterations if cfg.mask_compensation else 0
-    for _ in range(iters):
-        dx = harmonics.inverse_sht(
-            harmonics.ShCoefficients(dc, cfg.l_max, real=True), H)
-        realized = harmonics.forward_sht(Mb * dx, cfg.l_max).data
-        dc = dc + np.where(emb[None, :], target - realized, 0.0) / mbar
+    if iters:
+        A = _mask_operator(M, cfg.l_max, np.flatnonzero(emb))
+        for _ in range(iters):
+            dc_emb += (t - dc_emb @ A.T) / mbar
+    dc = np.zeros_like(target)
+    dc[:, emb] = dc_emb
+    for l in cfg.L_embed:
+        # the steps keep dc conjugate symmetric to round-off only; made
+        # exactly so, its synthesis skips the imaginary pass
+        blk = dc[:, l * l:(l + 1) * (l + 1)]
+        blk += harmonics.conj_flip(blk)
+        blk *= 0.5
     dx = harmonics.inverse_sht(
         harmonics.ShCoefficients(dc, cfg.l_max, real=True), H)
     stego = np.clip(x + Mb * dx, 0.0, 1.0)

@@ -122,15 +122,18 @@ def _hankel(t, b3):
                       pad.strides + pad.strides[-1:], writeable=False)
 
 
-def _contract(t, b1, b2, b3):
-    """Trivial-projection contraction of three degree blocks (last axis m,
-    leading axes broadcast; t in any order).  b1=None leaves leg 1 free, the
-    result keeping a last axis of 2*l1+1.  b3 is read through _hankel."""
-    H = _hankel(t, b3)
-    C = _projection_table(t)
-    if b1 is None:
-        return np.einsum("ij,...j,...ij->...i", C, b2, H)
-    return np.einsum("ij,...i,...j,...ij->...", C, b1, b2, H)
+def _half_plane(t, b3):
+    """C^{0,0} of t (any order) times the block b3 read at m3 = -m1-m2
+    through _hankel (leading axes kept), on the rows m1 >= 0 of leg 1
+    only, the rows m1 > 0 doubled: (..., l1+1, 2l2+1).
+
+    For conjugate-symmetric legs the terms at (m1, m2) and (-m1, -m2) are
+    conjugates, so the real part of a contraction with these rows is the
+    trivial-projection contraction of the three blocks: leg 1's orders
+    m >= 0 on the rows, leg 2 on the columns."""
+    l1 = t[0]
+    C = _projection_table(t)[l1:] * np.r_[1.0, np.full(l1, 2.0)][:, None]
+    return C * _hankel(t, b3)[..., l1:, :]
 
 
 # entries per plan chunk: ~4096 keeps each chunk's (entries, channels)

@@ -47,6 +47,16 @@ def conj_flip(blk):
     return (-1.0) ** np.arange(-l, l + 1) * np.conj(blk[..., ::-1])
 
 
+def symmetry_deviation(data):
+    """max |c_l^{-m} - (-1)^m conj(c_l^m)| over coefficient sets (...,
+    n_coeffs); NaN if any entry is NaN."""
+    k = np.arange(data.shape[-1])
+    l = np.sqrt(k).astype(int)
+    m = k - l * l - l
+    flip = (-1.0) ** m * np.conj(data[..., 2 * (l * l + l) - k])
+    return float(np.max(np.abs(data - flip)))
+
+
 def _legendre_table(l_max, x):
     """dict[(l,m)] -> Pbar_l^m(x), 0 <= m <= l <= l_max, by the stable
     three-term recurrence; unit norm on [-1, 1], CS phase folded in."""
@@ -111,9 +121,7 @@ class ShCoefficients:
 
     def symmetry_deviation(self):
         """max |c_l^{-m} - (-1)^m conj(c_l^m)| over all blocks."""
-        blocks = (self.block(l) for l in range(self.l_max + 1))
-        # np.max, not max(): a NaN in any block must reach the result
-        return float(np.max([np.abs(b - conj_flip(b)).max() for b in blocks]))
+        return symmetry_deviation(self.data)
 
     def assert_symmetry(self):
         dev = self.symmetry_deviation()
@@ -207,6 +215,40 @@ def _check_synthesis(f):
                          "large for a finite field")
 
 
+def _field_rows(p, U):
+    """Per block of rows s, the synthesized rows U[s] @ CS.T as an (n, ch,
+    W) view of one reused buffer, U (H, ch, 2 L1) holding each row's
+    [cos | sin] longitude coefficients: one (n*ch, 2 L1) x (2 L1, W) GEMM
+    per block."""
+    H, ch, K = U.shape
+    W = p.CS.shape[0]
+    buf = None
+    for s in grid.row_blocks(H, W):
+        n = s.stop - s.start
+        if buf is None:
+            buf = np.empty((n * ch, W))
+        blk = buf[:n * ch]
+        np.matmul(U[s].reshape(n * ch, K), p.CS.T, out=blk)
+        yield s, blk.reshape(n, ch, W)
+
+
+def _latitude(p, cos, sin):
+    """U (H, ch, 2 L1): row h's [cos | sin] longitude coefficients of each
+    channel, from the per-m coefficient columns cos and sin (L1, L1, ch)
+    by one matmul per m."""
+    L1, _, ch = cos.shape
+    G = p.Ps.transpose(0, 2, 1) @ np.concatenate([cos, sin], axis=2)
+    return G.reshape(L1, -1, 2, ch).transpose(1, 3, 2, 0).reshape(-1, ch, 2 * L1)
+
+
+def _synthesize(p, U):
+    """The field (H, W, ch) of _field_rows."""
+    out = np.empty((U.shape[0], p.CS.shape[0], U.shape[1]))
+    for s, f in _field_rows(p, U):
+        out[s] = f.transpose(0, 2, 1)
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def inverse_sht(c, H):
     """Synthesis f = sum c_l^m Y_l^m at pixel centers; unclamped field.
@@ -215,7 +257,10 @@ def inverse_sht(c, H):
     1e-7 or a SymmetryError is raised; the residue is then discarded and
     the field is real.  Otherwise the complex field is returned.
     Non-finite coefficients, and finite ones whose field overflows, are
-    refused (ValueError).
+    refused (ValueError).  The imaginary part is synthesized only when
+    its inputs are not exactly zero; for an exactly conjugate-symmetric
+    set, such as forward_sht returns, they are, and that part would be
+    exactly 0.
     """
     if H < 2:
         raise ValueError("H must be >= 2")
@@ -232,25 +277,24 @@ def inverse_sht(c, H):
     b[p.ms, p.ls] = (p.sign * c.data[:, p.neg]).T
     b[0] = 0.0  # m = 0 is one term, already in a
     s, d = a + b, a - b
-    # latitude, one matmul per m, on the real columns that feed
+    d[0] = 0.0  # it multiplies sin(0 phi) = 0
     # Re f = [Re s | -Im d] @ CS.T and Im f = [Im s | Re d] @ CS.T
-    Z = np.concatenate([s.real, -d.imag, s.imag, d.real], axis=2)
-    G = p.Ps.transpose(0, 2, 1) @ Z
-    U = G.reshape(L1, H, 2, 2, ch).transpose(2, 1, 3, 0, 4).reshape(2, H, 2 * L1, ch)
-    # longitude, row by row
-    im = p.CS @ U[1]
-    if c.real:
-        resid = float(np.abs(im, out=im).max())
+    U_im = _latitude(p, s.imag, d.real) if s.imag.any() or d.real.any() else None
+    if c.real and U_im is not None:
+        # np.max, not max(): a NaN in any block must reach the result
+        resid = float(np.max([np.abs(f, out=f).max()
+                              for _, f in _field_rows(p, U_im)]))
         if not resid < 1e-7:  # NaN fails too
-            raise SymmetryError("imaginary residue %.3e in real-flagged synthesis"
-                                % resid)
-        out = np.matmul(p.CS, U[0], out=im)  # Re f into the spent buffer
-        _check_synthesis(out)
-    else:
-        re = p.CS @ U[0]
-        _check_synthesis(re)
-        _check_synthesis(im)
-        out = re + 1j * im
+            raise SymmetryError("imaginary residue %.3e in real-flagged "
+                                "synthesis" % resid)
+    out = _synthesize(p, _latitude(p, s.real, -d.imag))
+    _check_synthesis(out)
+    if not c.real:
+        out = out.astype(complex)
+        if U_im is not None:
+            im = _synthesize(p, U_im)
+            _check_synthesis(im)
+            out.imag = im
     return out[:, :, 0] if ch == 1 else out
 
 

@@ -261,6 +261,18 @@ def test_build_config_file_then_flags(tmp_path):
     assert cfg.use_geometric_mask  # untouched default
 
 
+def test_l_embed_flag_error_names_the_flag(tmp_path, capsys):
+    # a degree that is not an integer is refused, not truncated, and the
+    # error says which flag held it
+    for bad in ("6.5,8", "6,x", "6,,8"):
+        assert cli.main(["embed", "--cover", "synth:4", "--key", "1",
+                         "--payload", PAYLOAD, "--l-embed", bad,
+                         "--out", str(tmp_path / "x.ppm")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --l-embed ") and repr(bad) in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
 def test_embed_with_config_file(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"k": 16}))

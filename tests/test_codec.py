@@ -56,6 +56,22 @@ def test_config_validation(kw):
         CodecConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, fault", [
+    (dict(L_embed=(6.5, 8, 14)), "field L_embed must be tuple"),
+    (dict(L_embed=(True, 8, 14)), "field L_embed must be tuple"),
+    (dict(k=True), "field k must be int"),
+    (dict(k=32.0), "field k must be int"),
+    (dict(alpha="0.1"), "field alpha must be float"),
+    (dict(use_texture_mask=1), "field use_texture_mask must be bool"),
+])
+def test_config_refuses_wrong_types_on_construction(kw, fault):
+    # the library path (codec.embed(cover, bits, key, cfg)) builds the
+    # config directly, so the type rules hold there too; nothing is
+    # reinterpreted, so 6.5 is not truncated to 6
+    with pytest.raises(ValueError, match=fault):
+        CodecConfig(**kw)
+
+
 def test_config_dict_round_trip():
     cfg = CodecConfig(alpha=0.07, groups=16, channels=1, L_embed=(4, 6))
     d = config_to_dict(cfg)
@@ -493,10 +509,20 @@ def test_make_signature_matches_finite_difference_loop(kw):
     assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
 
 
+def _half_plane_loop(t, b3):
+    # the half-plane coupling of coupling._half_plane, built row by row: C^{0,0}
+    # times b3 at m3 = -m1-m2 on the rows m1 = 0..l1, rows m1 > 0 doubled
+    l1 = t[0]
+    C = coupling._projection_table(t)
+    H = coupling._hankel(t, b3)
+    return np.stack([(1.0 if m1 == 0 else 2.0) * C[l1 + m1] * H[..., l1 + m1, :]
+                     for m1 in range(l1 + 1)], axis=-2)
+
+
 def _context_per_slot(bank, data):
-    # one context GEMM per triplet and keyed slot, so up to three per
-    # distinct coupling; the loop the per-coupling one replaced, reference
-    # only
+    # one half-plane context GEMM per triplet and keyed slot, so up to three
+    # per distinct coupling; the loop the per-coupling one replaced,
+    # reference only
     rows = codec._context_rows(bank, data)
     for ti, t in enumerate(bank.trips):
         slots, pairs = bank.roster[t]
@@ -506,19 +532,20 @@ def _context_per_slot(bank, data):
                 continue
             o1, o2 = t[:s] + t[s + 1:]
             tp = (t[s], o1, o2)
-            M = coupling._projection_table(tp) * coupling._hankel(tp, rows[o2])
+            M = _half_plane_loop(tp, rows[o2])
             W = (M.reshape(-1, M.shape[-1]) @ rows[o1].T).reshape(M.shape[:2] + (-1,))
             yield ti, t[s], g, W[pairs[g, :, 1], :, pairs[g, :, 0]]
 
 
 def _placements_per_slot(bank, Y, Q):
-    # one free-leg contraction per triplet and slot; reference only
+    # one half-plane free-leg contraction per triplet and slot; reference only
     out = np.zeros(Q[bank.L_embed[0]].shape[:-1] + (len(bank.trips),))
     for ti, t in enumerate(bank.trips):
         for s in range(3):
+            l = t[s]
             o1, o2 = t[:s] + t[s + 1:]
-            W = coupling._contract((t[s], o1, o2), None, Y[o1], Y[o2])
-            out[..., ti] += np.einsum("...gi,gi->...g", Q[t[s]], W).real
+            W = np.einsum("...ij,...j->...i", _half_plane_loop((l, o1, o2), Y[o2]), Y[o1])
+            out[..., ti] += np.einsum("...gi,gi->...g", Q[l][..., l:], W).real
     return out
 
 
@@ -568,7 +595,9 @@ def test_batched_features_refuse_differing_non_embed_degrees():
     cfg = CodecConfig()
     c = harmonics.forward_sht(harmonics.make_cover(6), cfg.l_max).data
     batch = np.stack([c, c, c])
-    batch[1, 0, 14 * 14 + 3] += 1e-3          # embed degree 14: allowed
+    # embed degree 14, on the conjugate pair m = -11, 11: allowed
+    batch[1, 0, 14 * 14 + 3] += 1e-3
+    batch[1, 0, 14 * 14 + 25] -= 1e-3
     assert features_from_coeffs(batch, cfg).shape == (3, feature_length(cfg))
     for l in (0, 3, 16):                      # non-embed degrees
         bad = batch.copy()
@@ -704,6 +733,92 @@ def test_mask_compensation_recovers_payload():
         stego_off, _ = embed(cover, bits, 42, cfg_off)
     assert shortfall(CodecConfig(), stego_on) < 0.10
     assert shortfall(cfg_off, stego_off) > 0.20
+
+
+def _masked_round_trip(dc, M, l_max):
+    # one synthesis -> mask -> analysis step of the compensation loop that
+    # codec._mask_operator replaced; reference only
+    dx = harmonics.inverse_sht(harmonics.ShCoefficients(dc, l_max, real=True),
+                               M.shape[0])
+    return harmonics.forward_sht((M if dx.ndim == 2 else M[..., None]) * dx,
+                                 l_max).data
+
+
+def _stego_by_round_trips(x, bits, key, cfg):
+    # embed's stego with the mask compensation as the loop of round trips
+    c = harmonics.forward_sht(x, cfg.l_max)
+    target = codec._embed_strength(c.data, cfg) * np.einsum(
+        "k,kcn->cn", 2.0 * bits - 1.0, generate_patterns(key, cfg))
+    M = codec.embedding_mask(x, cfg)
+    mbar = float(M.mean())
+    emb = codec._embed_band_mask(cfg)
+    dc = target / mbar
+    for _ in range(cfg.compensation_iterations):
+        realized = _masked_round_trip(dc, M, cfg.l_max)
+        dc = dc + np.where(emb[None, :], target - realized, 0.0) / mbar
+    dx = harmonics.inverse_sht(harmonics.ShCoefficients(dc, cfg.l_max, real=True),
+                               x.shape[0])
+    return np.clip(x + (M if x.ndim == 2 else M[..., None]) * dx, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("H", [64, 100, 256])
+def test_mask_operator_matches_masked_round_trip(H):
+    for channels, texture in ((3, True), (3, False), (1, True), (1, False)):
+        cfg = CodecConfig(channels=channels, k=8, groups=4,
+                          use_texture_mask=texture)
+        x = harmonics.make_cover(H, H=H)
+        x = x if channels == 3 else x[:, :, 2]
+        M = codec.embedding_mask(x, cfg)
+        emb = codec._embed_band_mask(cfg)
+        A = codec._mask_operator(M, cfg.l_max, np.flatnonzero(emb))
+        # a payload-like change and one from a second key, both conjugate
+        # symmetric and confined to the embed degrees
+        for key in (5, 6):
+            dc = np.einsum("k,kcn->cn", 2.0 * random_payload(key, 8) - 1.0,
+                           generate_patterns(key, cfg))
+            want = _masked_round_trip(dc, M, cfg.l_max)[:, emb]
+            got = dc[:, emb] @ A.T
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("H, kw", [(64, dict()), (100, dict(use_texture_mask=False)),
+                                   (128, dict(channels=1, k=8, groups=4))])
+def test_embed_matches_round_trip_compensation(H, kw, monkeypatch):
+    cfg = CodecConfig(**kw)
+    x = harmonics.make_cover(H + 1, H=H)
+    x = x if cfg.channels == 3 else x[:, :, 0]
+    bits = random_payload(H, cfg.k)
+    calls = []
+    latitude = harmonics._latitude
+    monkeypatch.setattr(harmonics, "_latitude",
+                        lambda *a: calls.append(1) or latitude(*a))
+    stego, side = embed(x, bits, 77, cfg)
+    # dc is exactly conjugate symmetric: its synthesis has no imaginary pass
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ref = _stego_by_round_trips(x, bits, 77, cfg)
+    assert np.abs(stego - ref).max() <= 1e-12
+    got, _ = extract_nonblind(stego, side)
+    assert np.array_equal(got, bits)
+    assert np.array_equal(extract_nonblind(ref, side)[0], got)
+
+
+def test_keyed_features_refuse_asymmetric_sets():
+    # the keyed features sum half the (m1, m2) plane, which holds only for
+    # the conjugate-symmetric coefficients of a real image
+    cfg = CodecConfig()
+    c = harmonics.forward_sht(harmonics.make_cover(6), cfg.l_max).data
+    ok = c.copy()
+    ok[1, 14 * 14 + 3] += 1e-12               # round-off asymmetry passes
+    assert features_from_coeffs(ok, cfg).shape == (feature_length(cfg),)
+    for l, v in ((14, 1e-6), (3, 1e-6), (0, 1e-6j)):
+        bad = c.copy()
+        bad[1, l * l] += v                    # m = -l, or the imaginary part at m = 0
+        for f in (lambda d: features_from_coeffs(d, cfg),
+                  lambda d: features_from_coeffs(np.stack([c, d]), cfg),
+                  lambda d: make_signature(d, 3, cfg)):
+            with pytest.raises(ValueError, match="conjugate symmetric"):
+                f(bad)
 
 
 def test_embed_validation_errors():

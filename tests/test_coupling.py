@@ -101,17 +101,26 @@ def test_racah_refuses_degrees_past_log_factorial_table():
         threej_table(100, 100, 100)
 
 
+def _half_plane_contract(t, b1, b2, b3):
+    # the trivial-projection contraction of conjugate-symmetric blocks from
+    # coupling._half_plane: leg 1's orders m >= 0 times its rows, leg 2 on
+    # its columns, real part
+    l1 = t[0]
+    W = np.einsum("...ij,...j->...i", coupling._half_plane(t, b3), b2)
+    return np.einsum("...i,...i->...", b1[..., l1:], W).real
+
+
 def test_contraction_matches_quadrature_integral():
     # independent oracle: int f1 f2 f3 dOmega for band-pure factors
     rng = np.random.default_rng(0)
     for t in [(1, 1, 2), (2, 2, 2), (2, 3, 3)]:
         rows = [_sym_row(rng, l) for l in t]
-        pkg = coupling._contract(t, *rows)
+        pkg = _half_plane_contract(t, *rows)
         ref = triple_product_integral(t, *rows)
         assert abs(pkg - ref) < 1e-12 * (1 + abs(ref))
     # odd-parity triplet: identically zero on both sides
     rows = [_sym_row(rng, l) for l in (1, 2, 2)]
-    assert coupling._contract((1, 2, 2), *rows) == 0.0
+    assert _half_plane_contract((1, 2, 2), *rows) == 0.0
     assert abs(triple_product_integral((1, 2, 2), *rows)) < 1e-13
 
 
@@ -317,24 +326,28 @@ def test_contract_batched_and_free_leg_match_per_row_gather():
     rng = np.random.default_rng(3)
     # sorted and reordered legs, as the keyed features use them
     for t in [(2, 2, 2), (6, 8, 14), (14, 6, 8), (8, 14, 6), (1, 2, 2)]:
-        b1, b2, b3 = (rng.standard_normal((4, 3, 2 * l + 1))
-                      + 1j * rng.standard_normal((4, 3, 2 * l + 1)) for l in t)
-        full = coupling._contract(t, b1, b2, b3)
-        free = coupling._contract(t, None, b2, b3)
-        assert full.shape == (4, 3) and free.shape == (4, 3, 2 * t[0] + 1)
+        l1 = t[0]
+        b1, b2, b3 = (np.array([[_sym_row(rng, l) for _ in range(3)]
+                                for _ in range(4)]) for l in t)
+        full = _half_plane_contract(t, b1, b2, b3)
+        free = np.einsum("...ij,...j->...i", coupling._half_plane(t, b3), b2)
+        assert full.shape == (4, 3) and free.shape == (4, 3, l1 + 1)
         want = np.array([[_contract_gather(t, b1[x, y], b2[x, y], b3[x, y])
                           for y in range(3)] for x in range(4)])
         want_free = np.array([[_contract_gather(t, None, b2[x, y], b3[x, y])
                                for y in range(3)] for x in range(4)])
         scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(full - want).max() <= 1e-14 * scale
-        assert np.abs(free - want_free).max() <= 1e-14 * scale
+        # real symmetric-leg sums; the free leg's orders m >= 0, m > 0 doubled
+        assert np.abs(want.imag).max() <= 1e-14 * scale
+        assert np.abs(full - want.real).max() <= 1e-14 * scale
+        w = np.r_[1.0, np.full(l1, 2.0)]
+        assert np.abs(free - w * want_free[..., l1:]).max() <= 1e-14 * scale
         # broadcasting: one row against the whole batch
-        assert np.abs(coupling._contract(t, b1[0, 0], b2, b3) - np.array(
+        assert np.abs(_half_plane_contract(t, b1[0, 0], b2, b3) - np.array(
             [[_contract_gather(t, b1[0, 0], b2[x, y], b3[x, y])
-              for y in range(3)] for x in range(4)])).max() <= 1e-14 * scale
+              for y in range(3)] for x in range(4)]).real).max() <= 1e-14 * scale
     with pytest.raises(ValueError, match="triangle"):
-        coupling._contract((1, 1, 3), *(np.ones(2 * l + 1) for l in (1, 1, 3)))
+        coupling._half_plane((1, 1, 3), np.ones(7))
 
 
 def test_bispectrum_vector_matches_channel_gather_form():
@@ -363,11 +376,12 @@ def test_bispectrum_vector_edge_triplets():
     assert v[0] == 0 and v[1] == bispectrum_vector(c, [(2, 2, 2)]).values[0] != 0
     empty = bispectrum_vector(c, [])
     assert len(empty) == 0 and empty.values.shape == (0,)
-    # legs in any order, as _contract reads them
+    # legs in any order, as _projection_table and _hankel read them
     trips = [(14, 6, 8), (8, 14, 6), (6, 8, 14), (16, 2, 14)]
     got = bispectrum_vector(c, trips).values
-    want = np.array([coupling._contract(t, *(c.block(l) for l in t)).sum()
-                     for t in trips])
+    want = np.array([np.einsum("ij,ci,cj,cij->", coupling._projection_table(t),
+                               c.block(t[0]), c.block(t[1]),
+                               c.block(t[2])[:, _gather(t)]) for t in trips])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # the plan is read-only and its cache bounded
     top, chunks = coupling._vector_plan(tuple(trips))

@@ -232,6 +232,57 @@ def test_transforms_match_per_m_loops(H):
         assert np.abs(img - ref).max() <= 1e-14 * np.abs(c.data).max()
 
 
+def _inverse_sht_per_row(data, l_max, H):
+    # the latitude stage of inverse_sht, then one (W x 2 L1) @ (2 L1 x ch)
+    # product per row, the longitude stage the blocked GEMM replaced;
+    # complex field (H, W, ch)
+    p = harmonics._plan(H, l_max)
+    L1, ch = l_max + 1, data.shape[0]
+    a = np.zeros((L1, L1, ch), complex)
+    b = np.zeros((L1, L1, ch), complex)
+    a[p.ms, p.ls] = data[:, p.pos].T
+    b[p.ms, p.ls] = (p.sign * data[:, p.neg]).T
+    b[0] = 0.0
+    s, d = a + b, a - b
+    Z = np.concatenate([s.real, -d.imag, s.imag, d.real], axis=2)
+    G = p.Ps.transpose(0, 2, 1) @ Z
+    U = G.reshape(L1, H, 2, 2, ch).transpose(2, 1, 3, 0, 4).reshape(2, H, 2 * L1, ch)
+    return p.CS @ U[0] + 1j * (p.CS @ U[1])
+
+
+@pytest.mark.parametrize("H", [64, 256])
+def test_inverse_sht_matches_per_row_synthesis(H, monkeypatch):
+    calls = []
+    rows = harmonics._field_rows
+    monkeypatch.setattr(harmonics, "_field_rows",
+                        lambda *a: calls.append(1) or rows(*a))
+    for x in (make_cover(H + 2, H=H), make_cover(H + 3, H=H)[:, :, 0]):
+        c = forward_sht(x, 16)
+        ref = _inverse_sht_per_row(c.data, 16, H)
+        assert np.abs(ref.imag).max() == 0.0
+        ref = ref.real if x.ndim == 3 else ref.real[:, :, 0]
+        # an exactly conjugate-symmetric set: its imaginary part is never
+        # synthesized
+        calls.clear()
+        got = inverse_sht(c, H)
+        assert len(calls) == 1
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(c.data).max()
+        # an asymmetry of 1e-12 at m = 1 and at m = 0 (imaginary part):
+        # synthesized, and under the residue bound
+        for k, v in ((coeff_index(9, 1), 1e-12), (coeff_index(5, 0), 1e-12j)):
+            cc = c.copy()
+            cc.data[0, k] += v
+            calls.clear()
+            got = inverse_sht(cc, H)
+            assert len(calls) == 2
+            ref = _inverse_sht_per_row(cc.data, 16, H).real
+            ref = ref if x.ndim == 3 else ref[:, :, 0]
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(c.data).max()
+            cc.data[0, k] += 1e9 * v          # 1e-3: refused
+            with pytest.raises(SymmetryError):
+                inverse_sht(cc, H)
+
+
 def test_inverse_sht_of_non_real_coefficients_is_complex():
     rng = np.random.default_rng(4)
     for ch in (1, 3):
