@@ -30,6 +30,26 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------ common helpers
 
+def _synth_param(name, text):
+    """Value of one synth: parameter; a ValueError names it when the text
+    is not a non-negative integer seed, an integer h >= 2 (the smallest
+    grid) or a finite std > 0."""
+    try:
+        v = float(text) if name == "std" else int(text)
+    except ValueError:
+        v = None
+    if name == "std":
+        want = "a finite number > 0"
+        ok = v is not None and np.isfinite(v) and v > 0
+    else:
+        lo = 2 if name == "h" else 0
+        want = "an integer >= %d" % lo
+        ok = v is not None and v >= lo
+    if not ok:
+        raise ValueError("synth: %s must be %s, got %r" % (name, want, text))
+    return v
+
+
 def load_image(path):
     p = str(path)
     if p.startswith("synth:"):
@@ -40,10 +60,10 @@ def load_image(path):
                 if "=" in tok:
                     kk, vv = tok.split("=", 1)
                     if kk not in kv:
-                        raise ValueError("unknown synth parameter %r" % kk)
-                    kv[kk] = float(vv) if kk == "std" else int(vv)
+                        raise ValueError("synth: unknown parameter %r" % kk)
+                    kv[kk] = _synth_param(kk, vv)
                 else:
-                    kv["seed"] = int(tok)
+                    kv["seed"] = _synth_param("seed", tok)
         return harmonics.make_cover(kv["seed"], H=kv["h"], img_std=kv["std"])
     if not p.endswith(".ppm"):
         raise ValueError("unsupported image path %r (use .ppm or synth:...)" % p)

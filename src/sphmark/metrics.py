@@ -171,7 +171,7 @@ def noise_bias_fit(cover, sigmas, trials=200, triplets=None, seed=0):
         acc = 0.0
         for nz in noises:
             for sgn in (1.0, -1.0):
-                cn = harmonics.ShCoefficients(c.data + sgn * s * nz, c.l_max)
+                cn = harmonics.ShCoefficients(c.data + sgn * s * nz, c.l_max, c.real)
                 acc += coupling.bispectrum_vector(cn, triplets).total.real
         y[i] = acc / (2.0 * trials * I0)
     x = sigmas ** 2

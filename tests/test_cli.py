@@ -96,6 +96,39 @@ def test_extract_round_trip(emb, tmp_path, capsys):
     assert "payload %s" % PAYLOAD in out
 
 
+def test_side_file_with_retired_loop_count_loads(emb, tmp_path, capsys):
+    # side files written while the mask compensation was a fixed-point
+    # loop carry its step count in their config; extract reads them as before
+    meta = json.loads(open(emb["side"] + ".sig.json").read())
+    assert "compensation_iterations" not in meta["config"]
+    meta["config"]["compensation_iterations"] = 8
+    old = tmp_path / "old"
+    (tmp_path / "old.sig.json").write_text(json.dumps(meta, sort_keys=True, indent=2))
+    (tmp_path / "old.sig.bin").write_bytes(open(emb["side"] + ".sig.bin", "rb").read())
+    sig, ref = codec.SignatureSet.load(str(old)), codec.SignatureSet.load(emb["side"])
+    assert sig.config == ref.config and sig.alpha == ref.alpha
+    assert np.array_equal(sig.directions, ref.directions)
+    reports = []
+    for side in (emb["side"], str(old)):
+        rep = tmp_path / "ext.json"
+        assert cli.main(["extract", "--image", emb["out"], "--side", side,
+                         "--report", str(rep)]) == 0
+        reports.append(rep.read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["payload_hex"] == PAYLOAD
+    capsys.readouterr()
+    # a --config file that names it is refused, naming the file and the key
+    cfg = tmp_path / "loop.json"
+    cfg.write_text('{"compensation_iterations": 8}')
+    assert cli.main(["embed", "--cover", "synth:4", "--key", "1", "--payload",
+                     PAYLOAD, "--config", str(cfg), "--out",
+                     str(tmp_path / "x.ppm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: unknown config keys: compensation_iterations"
+                          % cfg)
+    assert not (tmp_path / "x.ppm").exists()
+
+
 def test_extract_key_rederivation_matches(emb, tmp_path):
     rep_path = str(tmp_path / "ext.json")
     rc = cli.main(["extract", "--image", emb["out"], "--side", emb["side"],
@@ -238,8 +271,16 @@ def test_load_image_synth_forms():
     assert small.shape == (32, 64, 3)
     assert np.array_equal(small, harmonics.make_cover(2, H=32, img_std=0.2))
     assert cli.load_image("synth:").shape == (64, 128, 3)  # all defaults
-    with pytest.raises(ValueError, match="unknown synth parameter"):
+    with pytest.raises(ValueError, match="^synth: unknown parameter 'foo'"):
         cli.load_image("synth:foo=1")
+    # a malformed value names its parameter; a std that is not finite and
+    # positive would give a non-finite or inverted cover
+    for spec, name in (("h=abc", "h"), ("h=1.5", "h"), ("h=0", "h"),
+                       ("seed=-1", "seed"), ("-1", "seed"), ("seed=", "seed"),
+                       ("std=nan", "std"), ("std=inf", "std"), ("std=-1", "std"),
+                       ("std=0", "std"), ("std=abc", "std")):
+        with pytest.raises(ValueError, match="^synth: %s must be " % name):
+            cli.load_image("synth:" + spec)
     with pytest.raises(ValueError, match="unsupported image path"):
         cli.load_image("cover.png")
 

@@ -48,7 +48,6 @@ def test_config_defaults_and_derived():
     dict(alpha=0.0),
     dict(k=0),
     dict(groups=5),                      # 32 % 5 != 0
-    dict(compensation_iterations=-1),
     dict(n_contexts=0),
 ])
 def test_config_validation(kw):
@@ -736,8 +735,8 @@ def test_mask_compensation_recovers_payload():
 
 
 def _masked_round_trip(dc, M, l_max):
-    # one synthesis -> mask -> analysis step of the compensation loop that
-    # codec._mask_operator replaced; reference only
+    # one synthesis -> mask -> analysis round trip, the map that
+    # codec._mask_operator builds as a matrix; reference only
     dx = harmonics.inverse_sht(harmonics.ShCoefficients(dc, l_max, real=True),
                                M.shape[0])
     return harmonics.forward_sht((M if dx.ndim == 2 else M[..., None]) * dx,
@@ -745,7 +744,8 @@ def _masked_round_trip(dc, M, l_max):
 
 
 def _stego_by_round_trips(x, bits, key, cfg):
-    # embed's stego with the mask compensation as the loop of round trips
+    # embed's stego with the mask compensation as the fixed-point loop of
+    # round trips, run until its update is round-off (at most 200 steps)
     c = harmonics.forward_sht(x, cfg.l_max)
     target = codec._embed_strength(c.data, cfg) * np.einsum(
         "k,kcn->cn", 2.0 * bits - 1.0, generate_patterns(key, cfg))
@@ -753,9 +753,12 @@ def _stego_by_round_trips(x, bits, key, cfg):
     mbar = float(M.mean())
     emb = codec._embed_band_mask(cfg)
     dc = target / mbar
-    for _ in range(cfg.compensation_iterations):
+    for _ in range(200):
         realized = _masked_round_trip(dc, M, cfg.l_max)
-        dc = dc + np.where(emb[None, :], target - realized, 0.0) / mbar
+        step = np.where(emb[None, :], target - realized, 0.0) / mbar
+        dc = dc + step
+        if np.abs(step).max() <= 1e-15 * np.abs(dc).max():
+            break
     dx = harmonics.inverse_sht(harmonics.ShCoefficients(dc, cfg.l_max, real=True),
                                x.shape[0])
     return np.clip(x + (M if x.ndim == 2 else M[..., None]) * dx, 0.0, 1.0)
@@ -801,6 +804,25 @@ def test_embed_matches_round_trip_compensation(H, kw, monkeypatch):
     got, _ = extract_nonblind(stego, side)
     assert np.array_equal(got, bits)
     assert np.array_equal(extract_nonblind(ref, side)[0], got)
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(use_texture_mask=False),
+                                dict(channels=1, k=8, groups=4)])
+def test_embed_realizes_its_target_exactly(kw):
+    # a low-contrast cover: no pixel clamps, so the masked change on the
+    # embed degrees is the keyed target itself, not a fixed point's approach
+    cfg = CodecConfig(**kw)
+    x = harmonics.make_cover(8, img_std=0.12)
+    x = x if cfg.channels == 3 else x[:, :, 1]
+    bits = random_payload(9, cfg.k)
+    stego, side = embed(x, bits, 31, cfg)
+    assert 0.0 < stego.min() and stego.max() < 1.0
+    c = harmonics.forward_sht(x, cfg.l_max).data
+    emb = codec._embed_band_mask(cfg)
+    got = (harmonics.forward_sht(stego, cfg.l_max).data - c)[:, emb]
+    want = side.alpha * np.einsum("k,kcn->cn", 2.0 * bits - 1.0,
+                                  generate_patterns(31, cfg))[:, emb]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_keyed_features_refuse_asymmetric_sets():

@@ -155,6 +155,24 @@ def test_noise_bias_scaling_identity():
     assert lam2 == pytest.approx(lam1 / 4.0, rel=1e-9)
 
 
+def test_noise_bias_fit_keeps_the_real_flag(monkeypatch):
+    # the noise is conjugate symmetric, so a real-flagged cover's noisy sets
+    # stay real-flagged and take bispectrum_vector's real path; the general
+    # complex path of an unflagged cover fits the same line to round-off
+    c = harmonics.forward_sht(harmonics.make_cover(54), 16)
+    plain = harmonics.ShCoefficients(c.data, 16)
+    sig = np.array([0.002, 0.004, 0.006])
+    flags = []
+    monkeypatch.setattr(coupling, "bispectrum_vector",
+                        lambda cn, t: flags.append(cn.real) or bispectrum_vector(cn, t))
+    lam, r2 = noise_bias_fit(c, sig, trials=10, seed=2)
+    assert c.real and flags == [True] * (1 + 2 * 10 * sig.size)
+    lam_plain, r2_plain = noise_bias_fit(plain, sig, trials=10, seed=2)
+    assert not any(flags[len(flags) // 2:])
+    assert lam == pytest.approx(lam_plain, rel=1e-12, abs=0.0)
+    assert r2 == pytest.approx(r2_plain, rel=1e-12, abs=0.0)
+
+
 def test_noise_bias_fit_validation():
     cover = harmonics.make_cover(52)
     c = harmonics.forward_sht(cover, 16)
