@@ -48,6 +48,7 @@ def test_config_defaults_and_derived():
     dict(alpha=0.0),
     dict(k=0),
     dict(groups=5),                      # 32 % 5 != 0
+    dict(context_pairs=0),
     dict(n_contexts=0),
 ])
 def test_config_validation(kw):
