@@ -774,6 +774,16 @@ def embed(cover, payload_bits, key, cfg=None):
     want = np.where(emb[None, :], target, 0.0)
     short = np.linalg.norm(got - want) / np.linalg.norm(want)
     if short > 0.10:
+        if cfg.mask_compensation:
+            # a near-singular A (a mask at 0 over most of the sphere) makes
+            # the solve amplify round-off into the stego; cond(A) is 2.5-2.8
+            # at the default floor, ~4e11 on a cover flat at mask_floor 0
+            cond = np.linalg.cond(A)
+            if cond > 1e8:
+                raise ValueError(
+                    "mask compensation is ill-conditioned: cond(A) = %.3g "
+                    "at mask_floor=%g; raise the mask floor or embed without "
+                    "compensation" % (cond, cfg.mask_floor))
         warnings.warn(
             "mask/clamp removed %.0f%% of the payload energy; consider a "
             "larger alpha or a weaker mask" % (100.0 * short),

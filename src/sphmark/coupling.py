@@ -122,6 +122,16 @@ def _hankel(t, b3):
                       pad.strides + pad.strides[-1:], writeable=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _half_plane_table(t):
+    """Read-only rows m1 >= 0 of _projection_table(t), the rows m1 > 0
+    doubled: (l1+1, 2l2+1)."""
+    l1 = t[0]
+    C = _projection_table(t)[l1:] * np.r_[1.0, np.full(l1, 2.0)][:, None]
+    C.setflags(write=False)
+    return C
+
+
 def _half_plane(t, b3):
     """C^{0,0} of t (any order) times the block b3 read at m3 = -m1-m2
     through _hankel (leading axes kept), on the rows m1 >= 0 of leg 1
@@ -131,9 +141,7 @@ def _half_plane(t, b3):
     conjugates, so the real part of a contraction with these rows is the
     trivial-projection contraction of the three blocks: leg 1's orders
     m >= 0 on the rows, leg 2 on the columns."""
-    l1 = t[0]
-    C = _projection_table(t)[l1:] * np.r_[1.0, np.full(l1, 2.0)][:, None]
-    return C * _hankel(t, b3)[..., l1:, :]
+    return _half_plane_table(t) * _hankel(t, b3)[..., t[0]:, :]
 
 
 # entries per plan chunk: ~4096 keeps each chunk's (entries, channels)

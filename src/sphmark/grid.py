@@ -50,14 +50,25 @@ def grid_angles(H):
     return theta, phi
 
 
-def grid_directions(H, rows=slice(None)):
-    """Unit vectors (H, 2H, 3) of all pixel centers, or of the row slice
-    ``rows``; z is the polar axis."""
+@functools.lru_cache(maxsize=8)
+def _grid_trig(H):
+    """Read-only sin and cos of grid_angles(H): (sin theta, cos theta,
+    cos phi, sin phi)."""
     theta, phi = grid_angles(H)
-    st, ct = np.sin(theta[rows]), np.cos(theta[rows])
-    d = np.empty((len(st), 2 * H, 3))
-    d[:, :, 0] = st[:, None] * np.cos(phi)[None, :]
-    d[:, :, 1] = st[:, None] * np.sin(phi)[None, :]
+    trig = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+    for a in trig:
+        a.setflags(write=False)
+    return trig
+
+
+def grid_directions(H, rows=slice(None), out=None):
+    """Unit vectors (H, 2H, 3) of all pixel centers, or of the row slice
+    ``rows``, written to out when given; z is the polar axis."""
+    st, ct, cp, sp = _grid_trig(H)
+    st, ct = st[rows], ct[rows]
+    d = np.empty((len(st), 2 * H, 3)) if out is None else out
+    d[:, :, 0] = st[:, None] * cp
+    d[:, :, 1] = st[:, None] * sp
     d[:, :, 2] = ct[:, None]
     return d
 
@@ -126,9 +137,9 @@ def row_blocks(n_rows, row_points):
         yield slice(i, min(i + step, n_rows))
 
 
-def _sample_into(out, flat, H, W, theta, phi):
-    """Bilinear samples of the (H*W, ch) pixel view at finite angles, written
-    to out (broadcast shape of theta and phi, plus ch)."""
+def _pixel_coords(theta, phi, H, W):
+    """Floor row and column (int) and their fractions at finite angles,
+    phi wrapped as np.mod(phi, 2pi)."""
     if phi.size and -2.0 * np.pi <= phi.min() and phi.max() < 2.0 * np.pi:
         # np.mod(phi, 2pi) bit for bit on this range, where fmod returns
         # phi unchanged, without fmod's ~20 ns per point
@@ -139,21 +150,78 @@ def _sample_into(out, flat, H, W, theta, phi):
     c = phi * W / (2.0 * np.pi) - 0.5
     r0 = np.floor(r).astype(int)
     c0 = np.floor(c).astype(int)
-    dr = r - r0
-    dc = c - c0
-    r0c = np.clip(r0, 0, H - 1) * W
-    r1c = np.clip(r0 + 1, 0, H - 1) * W
-    c0m = np.mod(c0, W)
-    c1m = np.mod(c0 + 1, W)
-    # gather whole pixels by flat index r*W + c from the (H*W, ch) view,
-    # then the corner sum one channel at a time: a (..., ch) * (..., 1)
-    # broadcast runs numpy's inner loop over only ch elements
-    p00, p01 = flat.take(r0c + c0m, 0), flat.take(r0c + c1m, 0)
-    p10, p11 = flat.take(r1c + c0m, 0), flat.take(r1c + c1m, 0)
+    return r0, c0, r - r0, c - c0
+
+
+def _corners_into(out, flat, r0, r1, c0, c1, dr, dc):
+    """out[..., k] = the bilinear sum of the (H*W, ch) pixel view at the
+    flat corner indices r + c, rows r0, r1 (times W) and columns c0, c1,
+    over the fractions dr, dc, summed in the order
+    (p00 er) ec + (p01 er) dc + (p10 dr) ec + (p11 dr) dc."""
+    # gather whole pixels, then the corner sum one channel at a time: a
+    # (..., ch) * (..., 1) broadcast runs numpy's inner loop over only ch
+    # elements
+    p00, p01 = flat.take(r0 + c0, 0), flat.take(r0 + c1, 0)
+    p10, p11 = flat.take(r1 + c0, 0), flat.take(r1 + c1, 0)
     er, ec = 1 - dr, 1 - dc
+    t = np.empty(out.shape[:-1], out.dtype)
     for k in range(flat.shape[1]):
-        out[..., k] = (p00[..., k] * er * ec + p01[..., k] * er * dc
-                       + p10[..., k] * dr * ec + p11[..., k] * dr * dc)
+        acc = p00[..., k] * er
+        acc *= ec
+        np.multiply(p01[..., k], er, out=t)
+        t *= dc
+        acc += t
+        np.multiply(p10[..., k], dr, out=t)
+        t *= ec
+        acc += t
+        np.multiply(p11[..., k], dr, out=t)
+        t *= dc
+        acc += t
+        out[..., k] = acc
+
+
+def _sample_into(out, flat, H, W, theta, phi):
+    """Bilinear samples of the (H*W, ch) pixel view at finite angles, written
+    to out (broadcast shape of theta and phi, plus ch)."""
+    r0, c0, dr, dc = _pixel_coords(theta, phi, H, W)
+    _corners_into(out, flat, np.clip(r0, 0, H - 1) * W,
+                  np.clip(r0 + 1, 0, H - 1) * W,
+                  np.mod(c0, W), np.mod(c0 + 1, W), dr, dc)
+
+
+def _sample_grid_into(out, img, theta, phi):
+    """Bilinear samples of the (H, W, ch) image on the grid of the row
+    angles theta (n,) and the column angles phi (m,), written to out
+    (n, m, ch); each source row is scaled once, then its columns gathered.
+
+    Bit for bit the per-point sum: (p00 er) ec is gathered from the row
+    pass's p er, and the four terms add in the same order."""
+    H, W, ch = img.shape
+    r0, c0, dr, dc = _pixel_coords(theta, phi, H, W)
+    r1 = np.clip(r0 + 1, 0, H - 1)
+    r0 = np.clip(r0, 0, H - 1)
+    c1, c0 = np.mod(c0 + 1, W), np.mod(c0, W)
+    er, ec = 1 - dr, 1 - dc
+    blocks = list(row_blocks(len(theta), len(phi)))
+    # the scaled source rows, channels ahead of columns, so each column
+    # gather and weight runs along contiguous rows
+    rows = np.empty((2, blocks[0].stop if blocks else 0, ch, W), out.dtype)
+    for s in blocks:
+        a, b = rows[:, :s.stop - s.start]
+        np.multiply(img.take(r0[s], 0).transpose(0, 2, 1), er[s, None, None], out=a)
+        np.multiply(img.take(r1[s], 0).transpose(0, 2, 1), dr[s, None, None], out=b)
+        acc = a.take(c0, 2)
+        acc *= ec
+        t = a.take(c1, 2)
+        t *= dc
+        acc += t
+        np.take(b, c0, 2, out=t)
+        t *= ec
+        acc += t
+        np.take(b, c1, 2, out=t)
+        t *= dc
+        acc += t
+        out[s] = acc.transpose(0, 2, 1)
 
 
 def sample_bilinear(x, theta, phi):
@@ -177,14 +245,19 @@ def sample_bilinear(x, theta, phi):
     if not shape:
         _sample_into(out, flat, H, W, theta, phi)
     else:
-        # same rank for both, then blocks along the leading axis; an
-        # axis of length 1 stays whole, so a separable grid stays O(H+W)
         theta = theta.reshape((1,) * (len(shape) - theta.ndim) + theta.shape)
         phi = phi.reshape((1,) * (len(shape) - phi.ndim) + phi.shape)
-        for s in row_blocks(shape[0], math.prod(shape[1:])):
-            _sample_into(out[s], flat, H, W,
-                         theta[s] if len(theta) > 1 else theta,
-                         phi[s] if len(phi) > 1 else phi)
+        if theta.shape[1:] == (1,) and phi.shape[0] == 1:
+            # theta along rows only and phi along columns only, as resample
+            # passes: indices and fractions once per axis
+            _sample_grid_into(out, flat.reshape(H, W, ch), theta[:, 0], phi[0])
+        else:
+            # blocks along the leading axis; an axis of length 1 stays
+            # whole, so neither angle array is broadcast to the full shape
+            for s in row_blocks(shape[0], math.prod(shape[1:])):
+                _sample_into(out[s], flat, H, W,
+                             theta[s] if len(theta) > 1 else theta,
+                             phi[s] if len(phi) > 1 else phi)
     return out if x.ndim == 3 else out[..., 0]
 
 

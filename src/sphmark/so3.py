@@ -22,7 +22,7 @@ __all__ = [
 class Rotation:
     """Unit quaternion (w, x, y, z); q and -q denote the same rotation."""
 
-    __slots__ = ("q",)
+    __slots__ = ("q", "_zyz")
 
     def __init__(self, w, x, y, z):
         q = np.array([w, x, y, z], float)
@@ -95,7 +95,12 @@ class Rotation:
 
     @property
     def zyz(self):
-        """Active ZYZ Euler angles; gimbal degeneracy resolved by gamma = 0."""
+        """Active ZYZ Euler angles; gimbal degeneracy resolved by gamma = 0.
+        Computed once per rotation (q is never reassigned)."""
+        try:
+            return self._zyz
+        except AttributeError:
+            pass
         M = self.matrix
         cb = float(np.clip(M[2, 2], -1.0, 1.0))
         b = math.acos(cb)
@@ -108,6 +113,7 @@ class Rotation:
                 a = math.atan2(M[1, 0], M[0, 0])
             else:
                 a = math.atan2(-M[1, 0], -M[0, 0])
+        self._zyz = a, b, g
         return a, b, g
 
     @property
@@ -156,7 +162,8 @@ def wigner_D(l, R):
 
 
 def rotate_coeffs(c, R):
-    """c'_l = D^l(R) c_l per block and channel; degrees never mix."""
+    """c'_l = D^l(R) c_l per block and channel; degrees never mix.  The
+    Euler decomposition behind every D^l is R's one cached R.zyz."""
     out = c.copy()
     for l in range(c.l_max + 1):
         D = wigner_D(l, R)
@@ -175,11 +182,21 @@ def rotate_image(x, R):
     flat = x.reshape(H * W, ch)
     M = R.matrix
     out = np.empty((H, W, ch), np.result_type(flat, float))
-    for rows in grid.row_blocks(H, W):
-        d = grid.grid_directions(H, rows) @ M  # row-vector form of R^T omega
-        theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-        # the sampler wraps phi; wrapping it here too would change only a
-        # phi that wraps to exactly 2pi, which samples as 0 does
-        phi = np.arctan2(d[..., 1], d[..., 0])
-        grid._sample_into(out[rows], flat, H, W, theta, phi)
+    # arccos puts the floor row r0 in [-1, H-1] and the wrapped phi puts the
+    # floor column c0 in [-1, W-1], so each corner's clamped or wrapped
+    # index is one lookup, index -1 reading a table's last entry
+    rows = np.arange(H) * W
+    r0_tab = np.append(rows, 0)
+    r1_tab = np.concatenate([rows[1:], rows[-1:], [0]])
+    c0_tab, c1_tab = np.arange(W), np.roll(np.arange(W), -1)
+    blocks = list(grid.row_blocks(H, W))
+    d = np.empty((blocks[0].stop if blocks else 0, W, 3))
+    for s in blocks:
+        # row-vector form of R^T omega
+        e = grid.grid_directions(H, s, out=d[:s.stop - s.start]) @ M
+        theta = np.arccos(np.clip(e[..., 2], -1.0, 1.0))
+        phi = np.arctan2(e[..., 1], e[..., 0])
+        r0, c0, dr, dc = grid._pixel_coords(theta, phi, H, W)
+        grid._corners_into(out[s], flat, r0_tab.take(r0), r1_tab.take(r0),
+                           c0_tab.take(c0), c1_tab.take(c0), dr, dc)
     return out if x.ndim == 3 else out[..., 0]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,24 @@ def test_embed_refuses_cover_without_embed_degree_energy(tmp_path, capsys):
         assert "no energy on the embed degrees 6, 8, 14" in err
         assert sorted(p.name for p in tmp_path.iterdir()
                       if p.name.startswith(name + "-stego")) == []
+
+
+def test_embed_refuses_ill_conditioned_mask_compensation(tmp_path, capsys):
+    # make_cover(300) flat at 0.5 outside the cap theta < 0.4, embedded at
+    # mask floor 0: exit 1 with the condition number, and no stego written
+    x = harmonics.make_cover(300)
+    theta, _ = grid.grid_angles(64)
+    x[theta >= 0.4] = 0.5
+    cover = tmp_path / "cap.ppm"
+    grid.write_ppm(str(cover), x)
+    out = tmp_path / "stego.ppm"
+    assert cli.main(["embed", "--cover", str(cover), "--key", "777",
+                     "--payload", PAYLOAD, "--mask-floor", "0",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error: mask compensation is ill-conditioned: "
+                     r"cond\(A\) = \d\.\d+e\+11 at mask_floor=0;", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cap.ppm"]
 
 
 _FRESH_PROCESS = """

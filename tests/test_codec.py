@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sphmark import attacks, codec, coupling, harmonics, so3
+from sphmark import attacks, codec, coupling, grid, harmonics, so3
 from sphmark.codec import (
     CodecConfig, EmbeddingStrengthWarning, SignatureSet, check_key,
     coefficient_rms, compute_features, config_from_dict, config_to_dict,
@@ -519,6 +519,22 @@ def _half_plane_loop(t, b3):
                      for m1 in range(l1 + 1)], axis=-2)
 
 
+def test_half_plane_table_is_cached_read_only_and_matches_row_loop():
+    # every coupling the default bank contracts, in the leg orders the
+    # context and placement contractions pass
+    rng = np.random.default_rng(2)
+    bank = codec._bank(CodecConfig())
+    for t in bank.trips:
+        for s in range(3):
+            tp = (t[s],) + t[:s] + t[s + 1:]
+            C = coupling._half_plane_table(tp)
+            assert C is coupling._half_plane_table(tp)
+            assert not C.flags.writeable
+            b3 = rng.standard_normal((2, 3, 2 * tp[2] + 1, 2)) @ [1, 1j]
+            assert np.array_equal(coupling._half_plane(tp, b3),
+                                  _half_plane_loop(tp, b3))
+
+
 def _context_per_slot(bank, data):
     # one half-plane context GEMM per triplet and keyed slot, so up to three
     # per distinct coupling; the loop the per-coupling one replaced,
@@ -733,6 +749,30 @@ def test_mask_compensation_recovers_payload():
         stego_off, _ = embed(cover, bits, 42, cfg_off)
     assert shortfall(CodecConfig(), stego_on) < 0.10
     assert shortfall(cfg_off, stego_off) > 0.20
+
+
+def test_embed_refuses_ill_conditioned_mask_compensation():
+    # a cover flat outside a polar cap at mask floor 0: the texture mask is
+    # 0 over most of the sphere and the compensation operator is singular
+    # to working precision, so embed refuses instead of returning a stego
+    # at ~14 dB
+    cover = harmonics.make_cover(300)
+    theta, _ = grid.grid_angles(64)
+    cover[theta >= 0.4] = 0.5
+    with pytest.raises(ValueError, match=r"cond\(A\) = 4\.\d+e\+11 at mask_floor=0;"):
+        embed(cover, random_payload(300), 777, CodecConfig(mask_floor=0.0))
+    # the default floor on covers 300-305 (cond(A) 2.5-2.8): no warning
+    cfg = CodecConfig()
+    for seed in range(300, 306):
+        x = harmonics.make_cover(seed)
+        A = codec._mask_operator(codec.embedding_mask(x, cfg), cfg.l_max,
+                                 np.flatnonzero(codec._embed_band_mask(cfg)))
+        assert 2.5 <= np.linalg.cond(A) <= 2.8
+        bits = random_payload(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stego, side = embed(x, bits, 777, cfg)
+        assert np.array_equal(extract_nonblind(stego, side)[0], bits)
 
 
 def _masked_round_trip(dc, M, l_max):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from sphmark import grid
+from sphmark import attacks, grid
 
 from oracles import sample_bilinear_fancy_index
 
@@ -37,6 +37,13 @@ def test_grid_directions_unit_norm():
     d = grid.grid_directions(8)
     assert d.shape == (8, 16, 3)
     assert np.allclose(np.linalg.norm(d, axis=2), 1.0)
+
+
+def test_grid_directions_row_slice_into_buffer():
+    full = grid.grid_directions(8)
+    buf = np.empty((3, 16, 3))
+    assert grid.grid_directions(8, slice(2, 5), out=buf) is buf
+    assert np.array_equal(buf, full[2:5])
 
 
 @pytest.mark.parametrize("H", [2, 3, 8, 17, 64])
@@ -218,6 +225,36 @@ def test_resample_matches_full_grid_sampling(H_out):
         got = grid.resample(x, H_out)
         assert got.shape == full.shape
         assert np.array_equal(got, full)
+
+
+@pytest.mark.parametrize("H, H_out", [(16, 100), (256, 100), (256, 128), (128, 256)])
+def test_resample_matches_full_grid_sampling_in_row_blocks(H, H_out):
+    # the per-axis path against the full angle grids: H_out = 100 leaves a
+    # partial last row block, and H_out lies above and below H
+    rng = np.random.default_rng(H + H_out)
+    x = rng.random((H, 2 * H, 3))
+    theta, phi = grid.grid_angles(H_out)
+    if H_out == 100:
+        assert [b.stop - b.start for b in grid.row_blocks(100, 200)] == [40, 40, 20]
+    for img in (x, x[:, :, 0], x[:, :, :1]):
+        full = grid.sample_bilinear(
+            img, theta[:, None] * np.ones(2 * H_out)[None, :],
+            np.ones(H_out)[:, None] * phi[None, :])
+        got = grid.resample(img, H_out)
+        assert got.shape == full.shape == (H_out, 2 * H_out) + img.shape[2:]
+        assert np.array_equal(got, full)
+
+
+def test_attack_resize_matches_full_grid_sampling():
+    # attack_resize's H=256 -> 128 -> 256 as two full-grid samplings
+    x = np.random.default_rng(3).random((256, 512, 3))
+    want = x
+    for H_out in (128, 256):
+        theta, phi = grid.grid_angles(H_out)
+        want = grid.sample_bilinear(
+            want, theta[:, None] * np.ones(2 * H_out)[None, :],
+            np.ones(H_out)[:, None] * phi[None, :])
+    assert np.array_equal(attacks.attack_resize(x, 0.5), np.clip(want, 0.0, 1.0))
 
 
 def test_check_image_rejections():

@@ -4,13 +4,16 @@ Derandomized: every run draws the same examples, so a failure reproduces
 and the module takes a few seconds.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sphmark import coupling, harmonics, so3  # noqa: E402
+from sphmark import attacks, codec, coupling, grid, harmonics, so3  # noqa: E402
 
 from test_coupling import _bispectrum_full_plane  # noqa: E402
 
@@ -81,3 +84,51 @@ def test_bispectrum_half_plane_equals_full_plane(l_max, ch, seed, real):
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
     if real:
         assert np.all(got.imag == 0)
+
+
+@PROFILE
+@given(k=st.integers(1, 80), seed=seeds, prefix=st.sampled_from(["", "0x", "0X"]))
+def test_payload_round_trips_through_hex_and_bit_strings(k, seed, prefix):
+    bits = np.random.default_rng(seed).integers(0, 2, k)
+    text = codec.format_payload(bits)
+    assert len(text) == (k + 3) // 4
+    assert np.array_equal(codec.parse_payload(prefix + text, k), bits)
+    assert np.array_equal(codec.parse_payload("".join(map(str, bits)), k), bits)
+
+
+@PROFILE
+@given(H=st.integers(1, 12), shape=st.sampled_from([(), (1,), (3,)]),
+       seed=seeds)
+def test_read_ppm_after_write_ppm_is_the_8_bit_rounding(H, shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((H, 2 * H) + shape)
+    # exact ends and exact half-steps, which round half to even
+    x.flat[rng.integers(0, x.size, 4)] = [0.0, 1.0, 0.5 / 255, 254.5 / 255]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "x.ppm")
+        grid.write_ppm(path, x)
+        got = grid.read_ppm(path)
+    want = np.rint(x * 255.0) / 255.0
+    assert np.array_equal(got, np.broadcast_to(
+        want if want.ndim == 3 else want[:, :, None], got.shape))
+
+
+_VALID_SPECS = ["rotate:seed=3", "rotate:q=1,0,0,0", "blur:sigma=3,k=7",
+                "noise:std=0.05,seed=4", "resize:scale=0.5", "jpeg:q=60",
+                "lowpass:lc=8,lmax=16", "mixed:[rotate:seed=1;jpeg:q=60]",
+                "mixed:[brightness:f=1.1;mixed:[contrast:f=1.2]]"]
+
+
+@PROFILE
+@given(spec=st.sampled_from(_VALID_SPECS), data=st.data())
+def test_malformed_attack_specs_name_a_position_inside_the_spec(spec, data):
+    # one edit of a valid spec: a deletion, an insertion or a replacement
+    # from the grammar's own characters
+    i = data.draw(st.integers(0, len(spec)))
+    ch = data.draw(st.sampled_from(list(":=,;[] xq0.-") + [""]))
+    cut = data.draw(st.integers(0, 1))
+    text = spec[:i] + ch + spec[i + cut:]
+    try:
+        attacks.parse_attack(text)
+    except attacks.AttackSpecError as e:
+        assert 0 <= e.pos <= len(text), (text, e.pos)

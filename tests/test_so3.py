@@ -225,6 +225,27 @@ def test_rotate_coeffs_composition():
     assert np.abs(a.data - b.data).max() < 1e-9
 
 
+def test_rotate_coeffs_matches_per_degree_wigner_D():
+    # bit for bit the per-degree D^l(R) product, on real-flagged and complex
+    # sets, with R.zyz decomposed once and cached; the rotations include
+    # both gimbal branches, beta = 0 and beta = pi
+    rng = np.random.default_rng(12)
+    n = 17 * 17
+    sets = [harmonics.synth_random_bandlimited(16, seed=5),
+            harmonics.ShCoefficients(rng.standard_normal((3, n))
+                                     + 1j * rng.standard_normal((3, n)), 16)]
+    gimbal = [Rotation.from_axis_angle([0, 0, 1], 0.9), Rotation(0, 1, 0, 0),
+              Rotation(0, 0, 1, 0)]
+    assert [R.zyz[1] for R in gimbal] == [0.0, math.pi, math.pi]
+    for c in sets:
+        for R in gimbal + [random_rotation(s) for s in range(31, 35)]:
+            got = rotate_coeffs(c, R)
+            want = np.concatenate([c.block(l) @ wigner_D(l, R).T
+                                   for l in range(c.l_max + 1)], axis=1)
+            assert got.real == c.real
+            assert np.array_equal(got.data, want)
+
+
 def test_rotate_coeffs_identity_and_inverse():
     c = harmonics.synth_random_bandlimited(6, seed=8)
     assert np.abs(rotate_coeffs(c, Rotation.identity()).data - c.data).max() < 1e-12
