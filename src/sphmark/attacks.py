@@ -385,6 +385,9 @@ def apply_attack(x, spec):
     if name == "mixed":
         return attack_mixed(x, params["specs"])
     if name == "rotate":
+        if len(params) > 1:
+            raise ValueError("rotate takes one of q, zyz or seed, got %s"
+                             % ", ".join(sorted(params)))
         if "q" in params:
             return attack_rotate(x, rotation=str(params["q"]))
         if "zyz" in params:

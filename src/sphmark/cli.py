@@ -71,8 +71,14 @@ def load_image(path):
 
 
 def _key_of(args):
-    key = int(args.key, 0) if isinstance(args.key, str) else int(args.key)
-    return codec.check_key(key)
+    """The --key value; a ValueError names the flag and its accepted form
+    when the text does not parse or lies outside [0, 2^64)."""
+    try:
+        key = int(args.key, 0) if isinstance(args.key, str) else int(args.key)
+        return codec.check_key(key)
+    except ValueError:
+        raise ValueError("--key must be an integer in [0, 2^64), decimal or "
+                         "0x hex, got %r" % args.key)
 
 
 def _key_fingerprint(key):

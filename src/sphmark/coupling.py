@@ -25,42 +25,41 @@ _LOGFACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 301))),
                            np.full(300, np.inf)])
 
 
-def _racah(l1, l2, l3, m1, m2):
-    """3j(l1 l2 l3; m1 m2 -m1-m2) by the Racah sum, elementwise over integer
-    m1, m2 (scalars or arrays); selection-rule failures are exact zeros."""
-    if l1 + l2 + l3 >= 300:
-        raise ValueError("3j degrees exceed the log-factorial table")
-    m3 = -m1 - m2
-    if not abs(l1 - l2) <= l3 <= l1 + l2:
-        return np.zeros(np.shape(m3))
-    ok = (abs(m1) <= l1) & (abs(m2) <= l2) & (abs(m3) <= l3)
-    m1, m2, m3 = m1 * ok, m2 * ok, m3 * ok  # park failures at m = 0
-    F = _LOGFACT
-    pref = 0.5 * (F[l1 + l2 - l3] + F[l1 - l2 + l3] + F[-l1 + l2 + l3]
-                  - F[l1 + l2 + l3 + 1]
-                  + F[l1 + m1] + F[l1 - m1] + F[l2 + m2] + F[l2 - m2]
-                  + F[l3 + m3] + F[l3 - m3])
-    # the summation index t runs along a new leading axis
-    t = np.arange(l1 + l2 - l3 + 1).reshape((-1,) + (1,) * np.ndim(m3))
-    den = (F[t] + F[t + (l3 - l2 + m1)] + F[t + (l3 - l1 - m2)]
-           + F[(l1 + l2 - l3) - t] + F[(l1 - m1) - t] + F[(l2 + m2) - t])
-    terms = np.exp(pref - den)
-    terms[1::2] *= -1.0
-    return np.where(ok, (-1.0) ** (l1 - l2 - m3) * terms.sum(axis=0), 0.0)
-
-
 def wigner_3j(l1, l2, l3, m1, m2, m3):
-    """3j symbol by the Racah sum; selection-rule failures return exact 0."""
-    if m1 + m2 + m3 != 0:
+    """3j symbol, read from threej_table; selection-rule failures return
+    exact 0."""
+    if m1 + m2 + m3 != 0 or abs(m1) > l1 or abs(m2) > l2:
         return 0.0
-    return float(_racah(l1, l2, l3, m1, m2))
+    return float(threej_table(l1, l2, l3)[m1 + l1, m2 + l2])
 
 
 @functools.lru_cache(maxsize=None)
 def threej_table(l1, l2, l3):
-    """Read-only 3j(l1 l2 l3; m1 m2 -m1-m2) over the grid [m1+l1, m2+l2]."""
-    T = _racah(l1, l2, l3, np.arange(-l1, l1 + 1)[:, None],
-               np.arange(-l2, l2 + 1))
+    """Read-only 3j(l1 l2 l3; m1 m2 -m1-m2) over the grid [m1+l1, m2+l2] by
+    the Racah sum; entries with |m3| > l3, and every entry of a
+    triangle-violating triplet, are exact zeros."""
+    if l1 + l2 + l3 >= 300:
+        raise ValueError("3j degrees exceed the log-factorial table")
+    m1 = np.arange(-l1, l1 + 1)[:, None]
+    m2 = np.arange(-l2, l2 + 1)
+    m3 = -m1 - m2
+    if not abs(l1 - l2) <= l3 <= l1 + l2:
+        T = np.zeros(m3.shape)
+    else:
+        ok = np.abs(m3) <= l3
+        m3 = m3 * ok  # park the orders |m3| > l3 at m3 = 0
+        F = _LOGFACT
+        pref = 0.5 * (F[l1 + l2 - l3] + F[l1 - l2 + l3] + F[-l1 + l2 + l3]
+                      - F[l1 + l2 + l3 + 1]
+                      + F[l1 + m1] + F[l1 - m1] + F[l2 + m2] + F[l2 - m2]
+                      + F[l3 + m3] + F[l3 - m3])
+        # the summation index t runs along a new leading axis
+        t = np.arange(l1 + l2 - l3 + 1)[:, None, None]
+        den = (F[t] + F[t + (l3 - l2 + m1)] + F[t + (l3 - l1 - m2)]
+               + F[(l1 + l2 - l3) - t] + F[(l1 - m1) - t] + F[(l2 + m2) - t])
+        terms = np.exp(pref - den)
+        terms[1::2] *= -1.0
+        T = np.where(ok, (-1.0) ** (l1 - l2 - m3) * terms.sum(axis=0), 0.0)
     T.setflags(write=False)
     return T
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphmark import attacks, grid, harmonics, so3
+from sphmark import attacks, cli, grid, harmonics, so3
 from sphmark.attacks import (
     AttackSpecError, apply_attack, attack_blur_spatial, attack_blur_spectral,
     attack_brightness, attack_contrast, attack_jpeg_approx, attack_lowpass,
@@ -393,3 +393,20 @@ def test_apply_attack_dispatch(cover):
     rq = apply_attack(cover, "rotate:zyz=0.2,0.4,0.1")
     ref = attack_rotate(cover, rotation="zyz:0.2,0.4,0.1")
     assert np.array_equal(rq, ref)
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("rotate:q=1,0,0,0,zyz=1,2,3", "q, zyz"),
+    ("rotate:zyz=0.1,0.2,0.3,seed=4", "seed, zyz"),
+    ("rotate:q=1,0,0,0,seed=4", "q, seed"),
+    ("mixed:[brightness:f=0.9;rotate:seed=1,q=1,0,0,0]", "q, seed")])
+def test_apply_attack_refuses_ambiguous_rotate(spec, named, cover, tmp_path):
+    # one rotation per spec: two of q, zyz and seed are refused, not
+    # resolved by taking the first
+    with pytest.raises(ValueError, match="^rotate takes one of q, zyz or "
+                       "seed, got %s$" % named):
+        apply_attack(cover, spec)
+    out = tmp_path / "x.ppm"
+    assert cli.main(["attack", "--image", "synth:seed=4,h=16", "--spec", spec,
+                     "--out", str(out)]) == 1
+    assert not out.exists()

@@ -333,6 +333,23 @@ def test_l_embed_flag_error_names_the_flag(tmp_path, capsys):
     assert not (tmp_path / "x.ppm").exists()
 
 
+@pytest.mark.parametrize("bad", ["abc", "1.5", "010", "-1", str(2 ** 64),
+                                 "0x1" + "0" * 16])
+def test_key_flag_error_names_the_flag(bad, emb, tmp_path, capsys):
+    # a key that does not parse or lies outside [0, 2^64) is refused with
+    # the flag and its accepted form; "010" stays refused, not octal
+    out, rep = tmp_path / "x.ppm", tmp_path / "r.json"
+    for argv in (["embed", "--cover", "synth:4", "--payload", PAYLOAD,
+                  "--out", str(out)],
+                 ["extract", "--image", emb["out"], "--side", emb["side"],
+                  "--report", str(rep)]):
+        assert cli.main(argv + ["--key", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --key must be an integer in [0, 2^64), "
+                              "decimal or 0x hex, got %r" % bad)
+    assert not list(tmp_path.iterdir())  # no stego, side file or report
+
+
 def test_embed_with_config_file(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"k": 16}))

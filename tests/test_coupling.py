@@ -287,6 +287,44 @@ def test_threej_table_matches_scalar_and_oracle():
     assert worst_oracle <= 1e-12
 
 
+def test_threej_table_orthogonality_and_symmetries():
+    # every triplet with degrees 0..16, the triangle failures included,
+    # by properties that need no second 3j evaluation: per (l1, l2) and
+    # m3, sum_{m1 m2} (2 l3 + 1) 3j(l3) 3j(l3') = delta_{l3 l3'} wherever
+    # |m3| <= l3 and the triangle holds; the mirror m -> -m and the swap
+    # of legs 1 and 2 each carry the factor (-1)^(l1+l2+l3).  The bounds
+    # are the Racah sum's accuracy at degree 16.
+    L = np.arange(17)
+    worst_orth = worst_mirror = worst_swap = 0.0
+    for l1 in L:
+        for l2 in L:
+            T = np.array([threej_table(l1, l2, l3) for l3 in L])
+            sign = (-1.0) ** (l1 + l2 + L)[:, None, None]
+            worst_mirror = max(worst_mirror,
+                               np.abs(T[:, ::-1, ::-1] - sign * T).max())
+            T21 = np.array([threej_table(l2, l1, l3) for l3 in L])
+            worst_swap = max(worst_swap,
+                             np.abs(T21 - sign * T.swapaxes(1, 2)).max())
+            # m3 + l1 + l2 of every grid entry, one bincount bin per
+            # (l3, l3', m3)
+            n3 = 2 * (l1 + l2) + 1
+            k3 = (l1 + l2) - np.add.outer(np.arange(-l1, l1 + 1),
+                                          np.arange(-l2, l2 + 1))
+            flat = T.reshape(17, -1)
+            P = (2 * L + 1)[:, None, None] * flat[:, None] * flat[None]
+            bins = np.arange(17 * 17)[:, None] * n3 + k3.ravel()
+            S = np.bincount(bins.ravel(), P.ravel(), 17 * 17 * n3)
+            m3 = np.arange(n3) - (l1 + l2)
+            triangle = (abs(l1 - l2) <= L) & (L <= l1 + l2)
+            live = triangle[:, None] & (np.abs(m3) <= L[:, None])
+            want = np.eye(17)[:, :, None] * live[:, None, :]
+            worst_orth = max(worst_orth,
+                             np.abs(S.reshape(17, 17, n3) - want).max())
+    assert worst_orth <= 5e-12
+    assert worst_mirror <= 1e-12
+    assert worst_swap <= 1e-12
+
+
 def _projection_table_loop(t):
     # the per-entry builder the vectorized table replaced; reference only
     l1, l2, l3 = t
